@@ -2,6 +2,9 @@
 
 Subcommands: decompose, verify, vc2, chain-bounds, norms, gen.
 Exit codes for decompose: 0 success, 2 oracle-failure, 3 budget-exceeded.
+Every subcommand exits 4 on bad input, printing one `error: ...` line.
+`--oracle exhaustive` falls back to 2,000 randomized restarts once
+p^(n(n+1)/2+n+1) > 10^7 (from n=4 at p=3).
 """
 
 from __future__ import annotations
@@ -11,9 +14,6 @@ import csv
 import json
 import os
 import sys
-from fractions import Fraction
-
-import numpy as np
 
 from . import io, localnorms, vc2 as vc2mod
 from .chains import GrowthFunction, all_strings, f_sigma, tau
@@ -31,11 +31,14 @@ def _config_from_args(args) -> RunConfig:
 
 
 def cmd_decompose(args) -> int:
+    if not 0 < args.delta <= 1:
+        raise io.InputError("--delta must lie in (0, 1]")
     A, p, n = io.set_from_dict(io.load_json(args.set))
     if args.p and args.p != p or args.n and args.n != n:
         print("warning: --p/--n differ from the set file; using the file's",
               file=sys.stderr)
-    rho = GrowthFunction.parse(args.rho)
+    with io.input_errors("--rho"):
+        rho = GrowthFunction.parse(args.rho)
     config = _config_from_args(args)
     os.makedirs(args.out, exist_ok=True)
     try:
@@ -45,39 +48,29 @@ def cmd_decompose(args) -> int:
                    "complexity": list(report["complexity"]),
                    "rank": report["rank"],
                    "nonuniform_mass": report["nonuniform_mass"]}
-            io.save_json(os.path.join(args.out, "partition.json"), out)
-            trace = report["trace"]
-            rows = [{"step": t["step"],
-                     "index_before": float(t["index_before"]),
-                     "index_after": float(t["index_after"]),
-                     "nonuniform_mass": t["nonuniform_mass"],
-                     "deletions": t["deletions"],
-                     "witnesses": t["witnesses"],
-                     "kind": 1} for t in trace]
         else:
             cells, report = cylinder_decompose(A, args.delta, rho, config,
                                                p=p, n=n)
-            io.save_json(os.path.join(args.out, "partition.json"),
-                         io.cells_to_dict(cells, p, n))
-            rows = [{"step": t.step, "kind": t.kind,
-                     "index_before": float(t.index_before),
-                     "index_after": float(t.index_after),
-                     "nonuniform_mass": t.nonuniform_mass,
-                     "deletions": t.deletions,
-                     "witnesses": t.witnesses} for t in report["trace"]]
+            out = io.cells_to_dict(cells, p, n)
     except OracleFailure as e:
         print(f"oracle-failure: {e}", file=sys.stderr)
         return 2
     except BudgetExceeded as e:
         print(f"budget-exceeded: {e}", file=sys.stderr)
         return 3
+    io.save_json(os.path.join(args.out, "partition.json"), out)
     with open(os.path.join(args.out, "trace.csv"), "w", newline="") as fh:
         fields = ["step", "kind", "index_before", "index_after",
                   "nonuniform_mass", "deletions", "witnesses"]
         w = csv.DictWriter(fh, fieldnames=fields)
         w.writeheader()
-        for r in rows:
-            w.writerow(r)
+        for t in report["trace"]:
+            w.writerow({"step": t.step, "kind": t.kind,
+                        "index_before": float(t.index_before),
+                        "index_after": float(t.index_after),
+                        "nonuniform_mass": t.nonuniform_mass,
+                        "deletions": t.deletions,
+                        "witnesses": t.witnesses})
     return 0
 
 
@@ -105,7 +98,8 @@ def cmd_vc2(args) -> int:
 
 
 def cmd_chain_bounds(args) -> int:
-    rho = GrowthFunction.parse(args.rho)
+    with io.input_errors("--rho"):
+        rho = GrowthFunction.parse(args.rho)
     w = csv.writer(sys.stdout)
     w.writerow(["sigma", "a", "b"])
     for m in range(args.length + 1):
@@ -123,9 +117,11 @@ def cmd_chain_bounds(args) -> int:
 
 
 def cmd_norms(args) -> int:
-    B = factor_from_dict(io.load_json(args.factor))
+    with io.input_errors(args.factor):
+        B = factor_from_dict(io.load_json(args.factor))
     f, p, n = io.function_from_dict(io.load_json(args.function))
-    assert (p, n) == (B.p, B.n), "function and factor live on different groups"
+    if (p, n) != (B.p, B.n):
+        raise io.InputError("function and factor live on different groups")
     with open(args.out, "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=["label", "atom_size", "omega_count",
                                            "omega_predicted", "normP8",
@@ -152,8 +148,9 @@ def cmd_norms(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    params = json.loads(args.params) if args.params else {}
-    A = generate_set(args.kind, params, args.seed, args.p, args.n)
+    with io.input_errors(f"gen --kind {args.kind}"):
+        params = json.loads(args.params) if args.params else {}
+        A = generate_set(args.kind, params, args.seed, args.p, args.n)
     io.save_json(args.out, io.set_to_dict(A, args.p, args.n))
     return 0
 
@@ -213,7 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (io.InputError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

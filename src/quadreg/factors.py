@@ -199,7 +199,7 @@ def rho_matrix_delete(B: QuadraticFactor, rho) -> QuadraticFactor:
     coeffs, U = found
     kill = max(i for i, c in enumerate(coeffs) if c != 0)
     new_Q = B.Q[:kill] + B.Q[kill + 1:]
-    new_L = gf.extend_to_independent(B.L, gf.orth_complement_basis(U, B.p), B.p)
+    new_L = gf.extend_to_independent(B.L, gf.row_space_basis(U, B.p), B.p)
     return QuadraticFactor(B.p, B.n, new_L, new_Q)
 
 

@@ -9,7 +9,6 @@ That makes dense length-p^n arrays usable as functions on the group.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -104,12 +103,6 @@ def row_space_basis(rows, p):
     return rref(rows, p)[0]
 
 
-def orth_complement_basis(U, p):
-    """Basis of ker(U)^perp = the row space of U (U symmetric in our uses,
-    but this works for any matrix)."""
-    return row_space_basis(U, p)
-
-
 def is_independent(vectors, p) -> bool:
     vs = list(vectors)
     return mat_rank(vs, p) == len(vs)
@@ -146,12 +139,6 @@ def quad_form(M, x, p):
 
 def bilinear(M, x, y, p):
     return dot(x, mat_mul_vec(M, y, p), p)
-
-
-def all_vectors(p, n):
-    """All of F_p^n in encoded order (little-endian base p)."""
-    g = group(p, n)
-    return [g.decode(i) for i in range(g.size)]
 
 
 def mat_rank_bruteforce(rows, p) -> int:

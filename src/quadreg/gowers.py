@@ -2,7 +2,7 @@
 DFT-accelerated engine.
 
 All "norms" here are the unnormalized eighth/fourth power sums, e.g.
-u3_eighth(f) = sum over (x,h1,h2,h3) in G^4 of the 8-point cube product.
+u3_eighth_naive(f) = sum over (x,h1,h2,h3) in G^4 of the 8-point cube product.
 Indicator (integer-valued) inputs go through exact int64 accumulation so the
 identity tests are exact; real inputs use float64.
 """
@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf import Group, group
+from .gf import Group
 
 NAIVE_CAP = 10 ** 7  # refuse G^4 enumerations beyond this many tuples
 
@@ -111,9 +111,7 @@ def dft(f, grp: Group) -> np.ndarray:
     return cube.reshape(grp.size)
 
 
-def u2_fourth(f, grp: Group, method: str = "fourier"):
-    if method == "naive":
-        return u2_fourth_naive(f, grp)
+def u2_fourth(f, grp: Group):
     fh = dft(f, grp)
     return float(np.sum(np.abs(fh) ** 4) / grp.size)
 
@@ -129,13 +127,9 @@ def u3_eighth_fast(f, grp: Group):
     return total
 
 
-def u3_eighth(f, grp: Group):
-    return u3_eighth_fast(f, grp)
-
-
 def rewrite_sum_g6(f, grp: Group):
     """sum over (x1,x2,y1,y2,z1,z2) in G^6 of prod_{i,j,k} f(x_i+y_j+z_k).
-    Equals p^{2n} * u3_eighth(f).
+    Equals p^{2n} * u3_eighth_naive(f).
 
     Small groups get the literal 6-fold broadcast; otherwise we contract
     exactly: the product splits over i, so the sum is

@@ -4,11 +4,31 @@ All output is canonically ordered (sorted keys) so diffs are meaningful."""
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 import numpy as np
 
-from .factors import QuadraticFactor, factor_from_dict, factor_to_dict
+from .factors import factor_to_dict
 from .gf import group
+
+
+class InputError(ValueError):
+    """A malformed input file or inconsistent inputs; the CLI prints the
+    message and exits with code 4."""
+
+
+@contextmanager
+def input_errors(source: str):
+    """Turn the errors that malformed input raises inside the block into
+    InputErrors naming `source`."""
+    try:
+        yield
+    except InputError:
+        raise
+    except KeyError as e:
+        raise InputError(f"{source}: missing {e}") from None
+    except (TypeError, ValueError) as e:
+        raise InputError(f"{source}: {e}") from None
 
 
 def dumps_canonical(obj) -> str:
@@ -21,7 +41,7 @@ def save_json(path, obj) -> None:
 
 
 def load_json(path):
-    with open(path) as fh:
+    with open(path) as fh, input_errors(str(path)):
         return json.load(fh)
 
 
@@ -43,17 +63,21 @@ def function_to_dict(values, p: int, n: int) -> dict:
 
 
 def function_from_dict(d: dict):
-    g = group(d["p"], d["n"])
-    if d["kind"] == "indicator":
-        v = np.zeros(g.size, dtype=np.float64)
-        v[np.asarray(d["elements"], dtype=np.int64)] = 1.0
-        return v, d["p"], d["n"]
-    if d["kind"] == "dense":
-        v = np.asarray(d["values"], dtype=np.float64)
-        if v.shape != (g.size,):
-            raise ValueError("dense values of wrong length")
-        return v, d["p"], d["n"]
-    raise ValueError(f"unknown function kind {d['kind']!r}")
+    with input_errors("set/function file"):
+        g = group(d["p"], d["n"])
+        if d["kind"] == "indicator":
+            members = np.asarray(d["elements"], dtype=np.int64)
+            if members.size and not 0 <= members.min() <= members.max() < g.size:
+                raise InputError(f"set members must lie in [0, {g.size})")
+            v = np.zeros(g.size, dtype=np.float64)
+            v[members] = 1.0
+            return v, d["p"], d["n"]
+        if d["kind"] == "dense":
+            v = np.asarray(d["values"], dtype=np.float64)
+            if v.shape != (g.size,):
+                raise InputError("dense values of wrong length")
+            return v, d["p"], d["n"]
+        raise InputError(f"unknown function kind {d['kind']!r}")
 
 
 def set_from_dict(d: dict):

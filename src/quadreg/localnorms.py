@@ -197,7 +197,7 @@ def omega_members(B: QuadraticFactor, e):
 # -- the two local norms -----------------------------------------------------
 
 def norm_P_eighth(f, B: QuadraticFactor, e) -> float:
-    """u3_eighth(f * 1_{B(e)}) / |Omega_{B(e)}|, with a 0 fallback when the
+    """u3_eighth_fast(f * 1_{B(e)}) / |Omega_{B(e)}|, with a 0 fallback when the
     numerator vanishes (covers empty atoms)."""
     v = gowers.as_values(f, B.grp).astype(np.float64)
     restricted = v * B.atom_indicator(e)

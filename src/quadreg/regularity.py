@@ -6,8 +6,6 @@ approximating union of atoms.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -15,9 +13,13 @@ from itertools import product
 import numpy as np
 
 from . import gf, gowers, localnorms
-from .chains import ChainRecord, GrowthFunction, disc, ones_count, validate_chain
+from .chains import ChainRecord, disc, validate_chain
 from .factors import QuadraticFactor, rank_refine, rho_matrix_delete, trivial_factor
 from .gf import Group, group
+
+C_INV = 4                 # witness threshold delta^C/C, budget C^2 delta^(-2C-2)
+EXHAUSTIVE_CAP = 10 ** 7  # most polynomials the exhaustive oracle scans
+ATTEMPTS = 2000           # randomized restarts past the cap
 
 
 class OracleFailure(RuntimeError):
@@ -35,36 +37,17 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass
 class RunConfig:
-    c_inv: int = 4
-    exhaustive_cap: int = 10 ** 7
-    attempts: int = 2000
     max_steps: int | None = None
     seed: int = 0
     oracle: str = "exhaustive"  # or "randomized"
-    threads: int | None = None
 
     def threshold(self, delta: float) -> float:
-        return delta ** self.c_inv / self.c_inv
+        return delta ** C_INV / C_INV
 
     def budget(self, delta: float) -> int:
         if self.max_steps is not None:
             return self.max_steps
-        return int(np.ceil(self.c_inv ** 2 * delta ** (-2 * self.c_inv - 2)))
-
-    def nthreads(self) -> int:
-        if self.threads is not None:
-            return max(1, self.threads)
-        return max(1, int(os.environ.get("QUADREG_THREADS", "1")))
-
-
-def _pmap(fn, items, config: RunConfig):
-    """Deterministic parallel map over disjoint cells."""
-    items = list(items)
-    k = config.nthreads()
-    if k <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=k) as ex:
-        return list(ex.map(fn, items))
+        return int(np.ceil(C_INV ** 2 * delta ** (-2 * C_INV - 2)))
 
 
 # -- index / Pythagoras ------------------------------------------------------
@@ -81,19 +64,34 @@ def index(A: np.ndarray, parts, N: int) -> Fraction:
     return total / N
 
 
+def _density(A: np.ndarray, P) -> Fraction:
+    return Fraction(int(np.count_nonzero(A[P])), len(P))
+
+
+def _with_parents(A: np.ndarray, parts, refined_parts, N: int):
+    """(alpha_P, alpha_P', |P'|) for every refined part P' and the part P
+    holding it."""
+    owner = np.full(N, len(parts))  # an element in no part indexes past alphas
+    alphas = []
+    for i, P in enumerate(parts):
+        owner[P] = i
+        alphas.append(_density(A, P))
+    return [(alphas[owner[Pp[0]]], _density(A, Pp), len(Pp))
+            for Pp in refined_parts]
+
+
 def refinement_sum(A: np.ndarray, parts, refined_parts, N: int) -> Fraction:
     """(1/p^n) sum_P sum_{P' <= P} (alpha_P - alpha_P')^2 |P'|, exact."""
-    owner = {}
-    for i, P in enumerate(parts):
-        for x in P:
-            owner[int(x)] = i
-    alphas = [Fraction(int(np.count_nonzero(A[P])), len(P)) for P in parts]
-    total = Fraction(0)
-    for Pp in refined_parts:
-        i = owner[int(Pp[0])]
-        a_new = Fraction(int(np.count_nonzero(A[Pp])), len(Pp))
-        total += (alphas[i] - a_new) ** 2 * len(Pp)
-    return total / N
+    return sum(((a - b) ** 2 * size for a, b, size
+                in _with_parents(A, parts, refined_parts, N)), Fraction(0)) / N
+
+
+def _jensen_square(A: np.ndarray, parts, refined_parts, N: int) -> Fraction:
+    """((1/p^n) sum_{P'} |alpha_{P'} - alpha_P| |P'|)^2, exact; a lower bound
+    for the index gain by Cauchy-Schwarz with total weight 1."""
+    s = sum((abs(b - a) * size for a, b, size
+             in _with_parents(A, parts, refined_parts, N)), Fraction(0))
+    return (s / N) ** 2
 
 
 def pythagoras_check(A: np.ndarray, parts, refined_parts, N: int) -> Fraction:
@@ -210,13 +208,13 @@ def inverse_oracle(f, grp: Group, members: np.ndarray, delta: float,
             M = _coeffs_to_matrix(grp, quad_coeffs, pairs)
             best = (corr, M, r)
 
-    if config.oracle == "exhaustive" and total_polys <= config.exhaustive_cap:
+    if config.oracle == "exhaustive" and total_polys <= EXHAUSTIVE_CAP:
         for quad_coeffs in product(range(p), repeat=nquad):
             consider(quad_coeffs)
     else:
         rng = rng or np.random.default_rng(config.seed)
         consider((0,) * nquad)
-        for _ in range(config.attempts):
+        for _ in range(ATTEMPTS):
             support = rng.integers(1, max(2, nquad // 2 + 1))
             coeffs = [0] * nquad
             for idx in rng.choice(nquad, size=min(support, nquad), replace=False):
@@ -228,7 +226,7 @@ def inverse_oracle(f, grp: Group, members: np.ndarray, delta: float,
     return InverseWitness(M=M, r=r, c=0, correlation=corr)
 
 
-# -- cylinder cells ----------------------------------------------------------
+# -- cells -------------------------------------------------------------------
 
 @dataclass
 class CylinderCell:
@@ -245,50 +243,79 @@ class CylinderCell:
         return (self.factor.l, self.factor.q, self.factor.label_to_code(self.label))
 
 
-def _initial_cell(A: np.ndarray, p: int, n: int) -> CylinderCell:
-    B0 = trivial_factor(p, n)
-    g = group(p, n)
-    cell = CylinderCell(factor=B0, label=((), ()), sigma=(),
-                        members=np.arange(g.size), chain=[B0])
-    return cell
+def _centred(A: np.ndarray, members: np.ndarray, density: float, N: int):
+    """1_A - density on the members, 0 elsewhere."""
+    f = np.zeros(N, dtype=np.float64)
+    f[members] = A[members].astype(np.float64) - density
+    return f
 
 
-def _refresh_cell_stats(A: np.ndarray, cell: CylinderCell, delta: float):
-    g = cell.factor.grp
-    P = cell.members
-    cell.density = float(np.count_nonzero(A[P])) / len(P)
-    f = np.zeros(g.size, dtype=np.float64)
-    f[P] = A[P].astype(np.float64) - cell.density
-    if np.max(np.abs(f)) < 1e-15:
-        cell.normP8 = 0.0
-    else:
-        num = gowers.u3_eighth_fast(f, g)
-        oc = localnorms.omega_count(cell.factor, cell.label)
-        cell.normP8 = num / oc if oc else 0.0
-    cell.uniform = cell.normP8 < delta ** 8
-
-
-def _split_cell(cell: CylinderCell, new_factor: QuadraticFactor, bit: int):
-    """Children = atoms of new_factor inside the cell."""
-    codes = new_factor.label_codes()[cell.members]
+def _atoms(A, members, factor: QuadraticFactor, sigma, history, delta):
+    """The atoms of `factor` inside `members`, in label-code order, as cells
+    with their density, atom-normalized local norm and uniform flag."""
+    g = factor.grp
+    codes = factor.label_codes()[members]
     out = []
     for code in np.unique(codes):
-        members = cell.members[codes == code]
-        out.append(CylinderCell(
-            factor=new_factor,
-            label=new_factor.code_to_label(int(code)),
-            sigma=cell.sigma + (bit,),
-            members=members,
-            chain=cell.chain + [new_factor],
-        ))
+        P = members[codes == code]
+        label = factor.code_to_label(int(code))
+        density = float(np.count_nonzero(A[P])) / len(P)
+        f = _centred(A, P, density, g.size)
+        normP8 = 0.0
+        if np.max(np.abs(f)) >= 1e-15:
+            num = gowers.u3_eighth_fast(f, g)
+            oc = localnorms.omega_count(factor, label)
+            normP8 = num / oc if oc else 0.0
+        out.append(CylinderCell(factor=factor, label=label, sigma=sigma,
+                                members=P, chain=history + [factor],
+                                density=density, normP8=normP8,
+                                uniform=normP8 < delta ** 8))
     return out
 
 
-def _low_rank(cell: CylinderCell, rho) -> bool:
-    B = cell.factor
-    if B.q == 0:
-        return False  # nothing deletable; rank is n by convention
-    return B.rank() < rho(B.l + B.q)
+def _resplit(A, cells, new_factors: dict, bit: int, delta):
+    """The cells in key order; a cell with an entry in new_factors (keyed by
+    id) is replaced by that factor's atoms inside it, sigma extended by
+    `bit`."""
+    out = []
+    for c in sorted(cells, key=CylinderCell.key):
+        B = new_factors.get(id(c))
+        if B is None:
+            out.append(c)
+        else:
+            out.extend(_atoms(A, c.members, B, c.sigma + (bit,), c.chain, delta))
+    return out
+
+
+def _search(A, cells, delta, config: RunConfig, rng, state) -> dict:
+    """inverse_oracle on every cell in list order (which fixes the rng
+    draws); {id(cell): witness}, or OracleFailure naming the cells that
+    have none."""
+    found, failed = {}, []
+    for c in cells:
+        g = c.factor.grp
+        f = _centred(A, c.members, c.density, g.size)
+        wit = inverse_oracle(f, g, c.members, delta, config, rng=rng)
+        if wit is None:
+            failed.append(c)
+        else:
+            found[id(c)] = wit
+    if failed:
+        raise OracleFailure(failed, state=state)
+    return found
+
+
+def _absorb(B: QuadraticFactor, witnesses) -> QuadraticFactor:
+    """B extended, witness by witness, by the linear part when it enlarges
+    span(L) (so L stays independent) and the quadratic part when it is
+    nonzero and new."""
+    L, Q = list(B.L), list(B.Q)
+    for w in witnesses:
+        if gf.mat_rank(L + [w.r], B.p) > len(L):
+            L.append(w.r)
+        if w.M not in Q and any(any(row) for row in w.M):
+            Q.append(w.M)
+    return QuadraticFactor(B.p, B.n, L, Q)
 
 
 @dataclass
@@ -304,8 +331,76 @@ class StepRecord:
     corr_bound: float       # float bound from achieved correlations
 
 
-def _cells_index(A, cells, N) -> Fraction:
-    return index(A, [c.members for c in cells], N)
+def _decompose(A, delta: float, rho, config: RunConfig, p, n, shared: bool):
+    """The energy-increment loop shared by both decompositions.  Type -1
+    steps replace every low-rank cell by its atoms under its factor minus
+    one matrix (rho_matrix_delete).  Type +1 steps run the oracle on every
+    non-uniform cell and split along the witnesses: each cell under its own
+    factor plus its witness, or, when `shared`, every cell under one
+    rank-refined factor that absorbs all witnesses.  Stops when no cell is
+    low-rank and the non-uniform mass is <= delta |G|.
+
+    Returns (cells, trace, final index, non-uniform mass)."""
+    A = np.asarray(A, dtype=bool)
+    if p is None or n is None:
+        raise ValueError("p and n required")
+    g = group(p, n)
+    if A.shape != (g.size,):
+        raise ValueError("set indicator has wrong length")
+    rng = np.random.default_rng(config.seed)
+    everything = np.arange(g.size)
+    cells = _atoms(A, everything, trivial_factor(p, n), (), [], delta)
+    ind = index(A, [c.members for c in cells], g.size)
+    trace: list[StepRecord] = []
+    budget = config.budget(delta)
+    while True:
+        # low-rank cells (q = 0 has rank n by convention); a shared factor
+        # is rank-refined whenever it is built
+        low = [] if shared else [
+            c for c in cells
+            if c.factor.q > 0 and c.factor.rank() < rho(c.factor.l + c.factor.q)]
+        nonuni = [c for c in cells if not c.uniform]
+        mass = sum(len(c.members) for c in nonuni)
+        if not low and mass <= delta * g.size:
+            return cells, trace, ind, mass
+        if len(trace) >= budget:
+            raise BudgetExceeded(state={"cells": cells, "trace": trace})
+        if low:
+            kind, witnesses = -1, 0
+            new_cells = _resplit(
+                A, cells, {id(c): rho_matrix_delete(c.factor, rho) for c in low},
+                -1, delta)
+            deletions = len(low)
+            jensen, corr_bound = Fraction(0), 0.0
+        else:
+            kind = 1
+            found = _search(A, nonuni, delta, config, rng,
+                            state={"cells": cells, "trace": trace})
+            witnesses = len(found)
+            if shared:
+                B, deletions, _ = rank_refine(
+                    _absorb(cells[0].factor, found.values()), rho)
+                new_cells = _atoms(A, everything, B, (), [], delta)
+            else:
+                deletions = 0
+                new_cells = _resplit(
+                    A, cells, {id(c): _absorb(c.factor, [found[id(c)]])
+                               for c in nonuni}, 1, delta)
+            # Jensen: gain >= ((1/p^n) sum |alpha' - alpha| |P'|)^2, exact;
+            # the achieved-correlation version is logged too (it is smaller)
+            jensen = _jensen_square(A, [c.members for c in cells],
+                                    [c.members for c in new_cells], g.size)
+            corr_sum = sum(found[id(c)].correlation * len(c.members)
+                           for c in nonuni)
+            corr_bound = (corr_sum / g.size) ** 2
+        ind_after = index(A, [c.members for c in new_cells], g.size)
+        assert ind_after >= ind, "index decreased"
+        assert ind_after - ind >= jensen, "gain below Jensen bound"
+        trace.append(StepRecord(step=len(trace), kind=kind, index_before=ind,
+                                index_after=ind_after, nonuniform_mass=mass,
+                                deletions=deletions, witnesses=witnesses,
+                                jensen_bound=jensen, corr_bound=corr_bound))
+        cells, ind = new_cells, ind_after
 
 
 def cylinder_decompose(A, delta: float, rho, config: RunConfig,
@@ -317,225 +412,22 @@ def cylinder_decompose(A, delta: float, rho, config: RunConfig,
 
     Returns (cells, report) where report carries the per-step trace.
     """
-    A = np.asarray(A, dtype=bool)
-    if p is None or n is None:
-        raise ValueError("p and n required")
-    g = group(p, n)
-    if A.shape != (g.size,):
-        raise ValueError("set indicator has wrong length")
-    rng = np.random.default_rng(config.seed)
-    cells = [_initial_cell(A, p, n)]
-    for c in cells:
-        _refresh_cell_stats(A, c, delta)
-    trace: list[StepRecord] = []
-    budget = config.budget(delta)
-    step = 0
-    while True:
-        low = [c for c in cells if _low_rank(c, rho)]
-        nonuni = [c for c in cells if not c.uniform]
-        mass = sum(len(c.members) for c in nonuni)
-        if not low and mass <= delta * g.size:
-            break
-        if step >= budget:
-            raise BudgetExceeded(state={"cells": cells, "trace": trace})
-        ind_before = _cells_index(A, cells, g.size)
-        if low:
-            # type -1: one deletion per low-rank cell, deterministic order
-            new_cells = []
-            deletions = 0
-            low_ids = {id(c) for c in low}
-            for c in sorted(cells, key=lambda c: c.key()):
-                if id(c) in low_ids:
-                    B2 = rho_matrix_delete(c.factor, rho)
-                    new_cells.extend(_split_cell(c, B2, -1))
-                    deletions += 1
-                else:
-                    new_cells.append(c)
-            kind = -1
-            witnesses = 0
-            jensen = Fraction(0)
-            corr_bound = 0.0
-        else:
-            # type +1: energy step on all non-uniform cells
-            new_cells, witnesses, corr_sum = _energy_split(
-                A, cells, nonuni, delta, config, rng)
-            kind = 1
-            deletions = 0
-            # Jensen: gain >= ((1/p^n) sum |alpha' - alpha| |P'|)^2, exact;
-            # the achieved-correlation version is logged too (it is smaller)
-            jensen = _jensen_square(A, cells, new_cells, g.size)
-            corr_bound = (corr_sum / g.size) ** 2
-        for c in new_cells:
-            _refresh_cell_stats(A, c, delta)
-        ind_after = _cells_index(A, new_cells, g.size)
-        assert ind_after >= ind_before, "index decreased"
-        if kind == 1:
-            assert ind_after - ind_before >= jensen, "gain below Jensen bound"
-        trace.append(StepRecord(step=step, kind=kind, index_before=ind_before,
-                                index_after=ind_after, nonuniform_mass=mass,
-                                deletions=deletions, witnesses=witnesses,
-                                jensen_bound=jensen, corr_bound=corr_bound))
-        cells = new_cells
-        step += 1
-    report = {
-        "steps": len(trace),
-        "trace": trace,
-        "final_index": _cells_index(A, cells, g.size),
-        "nonuniform_mass": sum(len(c.members) for c in cells if not c.uniform),
-        "cells": len(cells),
-    }
-    return cells, report
+    cells, trace, ind, mass = _decompose(A, delta, rho, config, p, n,
+                                         shared=False)
+    return cells, {"steps": len(trace), "trace": trace, "final_index": ind,
+                   "nonuniform_mass": mass, "cells": len(cells)}
 
-
-def _jensen_square(A, cells, new_cells, N) -> Fraction:
-    """((1/p^n) sum_{P'} |alpha_{P'} - alpha_P| |P'|)^2, exact; a lower bound
-    for the index gain by Cauchy-Schwarz with total weight 1."""
-    owner = {}
-    alphas = []
-    for i, c in enumerate(cells):
-        alphas.append(Fraction(int(np.count_nonzero(A[c.members])), len(c.members)))
-        for x in c.members:
-            owner[int(x)] = i
-    s = Fraction(0)
-    for c in new_cells:
-        i = owner[int(c.members[0])]
-        a_new = Fraction(int(np.count_nonzero(A[c.members])), len(c.members))
-        s += abs(a_new - alphas[i]) * len(c.members)
-    return (s / N) ** 2
-
-
-def _energy_split(A, cells, nonuni, delta, config, rng):
-    """Split each non-uniform cell along an oracle witness; untouched cells
-    keep their factor but do not grow sigma."""
-    g = cells[0].factor.grp
-    failures = []
-    plans = {}
-
-    def search(cell):
-        f = np.zeros(g.size, dtype=np.float64)
-        f[cell.members] = A[cell.members].astype(np.float64) - cell.density
-        return inverse_oracle(f, g, cell.members, delta, config, rng=rng)
-
-    results = _pmap(search, nonuni, config)
-    for cell, wit in zip(nonuni, results):
-        if wit is None:
-            failures.append(cell)
-        else:
-            plans[id(cell)] = wit
-    if failures:
-        raise OracleFailure(failures, state={"cells": cells})
-    new_cells = []
-    corr_sum = 0.0
-    for cell in sorted(cells, key=lambda c: c.key()):
-        wit = plans.get(id(cell))
-        if wit is None:
-            new_cells.append(cell)
-            continue
-        B = cell.factor
-        newL = list(B.L)
-        if gf.mat_rank(newL + [wit.r], B.p) > len(newL):
-            newL.append(wit.r)
-        newQ = list(B.Q)
-        if wit.M not in newQ and any(any(row) for row in wit.M):
-            newQ.append(wit.M)
-        B2 = QuadraticFactor(B.p, B.n, newL, newQ)
-        new_cells.extend(_split_cell(cell, B2, +1))
-        corr_sum += wit.correlation * len(cell.members)
-    return new_cells, len(plans), corr_sum
-
-
-# -- global decomposition ----------------------------------------------------
 
 def global_decompose(A, delta: float, rho, config: RunConfig,
                      p: int | None = None, n: int | None = None):
     """Single-factor energy increment: refine one quadratic factor until the
-    atoms where 1_A - alpha has large local norm cover < delta |G|."""
-    A = np.asarray(A, dtype=bool)
-    g = group(p, n)
-    rng = np.random.default_rng(config.seed)
-    B = trivial_factor(p, n)
-    B, _, _ = rank_refine(B, rho)
-    trace = []
-    budget = config.budget(delta)
-    step = 0
-    while True:
-        bad, mass = _nonuniform_atoms(A, B, delta)
-        if mass <= delta * g.size:
-            break
-        if step >= budget:
-            raise BudgetExceeded(state={"factor": B, "trace": trace})
-        parts_before = _atom_parts(B)
-        ind_before = index(A, parts_before, g.size)
-        newL, newQ = list(B.L), list(B.Q)
-        witnesses = 0
-        failures = []
-
-        def search(item):
-            label, members = item
-            density = float(np.count_nonzero(A[members])) / len(members)
-            f = np.zeros(g.size, dtype=np.float64)
-            f[members] = A[members].astype(np.float64) - density
-            return inverse_oracle(f, g, members, delta, config, rng=rng)
-
-        results = _pmap(search, bad, config)
-        for (label, members), wit in zip(bad, results):
-            if wit is None:
-                failures.append(label)
-                continue
-            witnesses += 1
-            if gf.mat_rank(newL + [wit.r], B.p) > gf.mat_rank(newL, B.p):
-                newL.append(wit.r)
-            if wit.M not in newQ and any(any(row) for row in wit.M):
-                newQ.append(wit.M)
-        if failures:
-            raise OracleFailure(failures, state={"factor": B, "trace": trace})
-        B2 = QuadraticFactor(B.p, B.n, newL, newQ)
-        B2, deletions, feasible = rank_refine(B2, rho)
-        ind_after = index(A, _atom_parts(B2), g.size)
-        trace.append({
-            "step": step,
-            "index_before": ind_before,
-            "index_after": ind_after,
-            "nonuniform_mass": mass,
-            "witnesses": witnesses,
-            "deletions": deletions,
-        })
-        B = B2
-        step += 1
-    report = {
-        "steps": len(trace),
-        "trace": trace,
-        "complexity": B.complexity(),
-        "rank": B.rank(),
-        "nonuniform_mass": _nonuniform_atoms(A, B, delta)[1],
-    }
-    return B, report
-
-
-def _atom_parts(B: QuadraticFactor):
-    codes = B.label_codes()
-    return [np.nonzero(codes == c)[0] for c in np.unique(codes)]
-
-
-def _nonuniform_atoms(A, B: QuadraticFactor, delta):
-    g = B.grp
-    bad = []
-    mass = 0
-    codes = B.label_codes()
-    for code in np.unique(codes):
-        members = np.nonzero(codes == code)[0]
-        label = B.code_to_label(int(code))
-        density = float(np.count_nonzero(A[members])) / len(members)
-        f = np.zeros(g.size, dtype=np.float64)
-        f[members] = A[members].astype(np.float64) - density
-        if np.max(np.abs(f)) < 1e-15:
-            continue
-        oc = localnorms.omega_count(B, label)
-        n8 = gowers.u3_eighth_fast(f, g) / oc if oc else 0.0
-        if n8 >= delta ** 8:
-            bad.append((label, members))
-            mass += len(members)
-    return bad, mass
+    atoms where 1_A - alpha has large local norm cover <= delta |G|."""
+    cells, trace, _, mass = _decompose(A, delta, rho, config, p, n,
+                                       shared=True)
+    B = cells[0].factor
+    return B, {"steps": len(trace), "trace": trace,
+               "complexity": B.complexity(), "rank": B.rank(),
+               "nonuniform_mass": mass}
 
 
 # -- assembly ----------------------------------------------------------------

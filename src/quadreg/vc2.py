@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .gf import Group, group
+from .gf import Group
 
 KMAX_HARD = 3
 

@@ -14,17 +14,14 @@ from itertools import product
 import numpy as np
 
 from . import gf, gowers, localnorms, vc2
-from .chains import (GrowthFunction, all_strings, corollary_chain_bound, disc,
-                     f_sigma, linear_growth, ones_count, poly_growth, tau,
-                     tau_closed_bound)
-from .factors import QuadraticFactor, trivial_factor
-from .generators import generate_set, random_factor
+from .chains import (all_strings, corollary_chain_bound, disc, f_sigma,
+                     linear_growth, ones_count, poly_growth)
+from .factors import QuadraticFactor
+from .generators import random_factor
 from .gf import group
-from .localnorms import (LocalLabelTuple, all_local_labels, fibre_size,
-                         k111_members, norm_P_eighth, norm_TW_eighth,
-                         omega_count, omega_predicted, sigma_label,
-                         trivial_local_label)
-from .regularity import index, pythagoras_check
+from .localnorms import (all_local_labels, fibre_size, k111_members,
+                         omega_count, omega_predicted, sigma_label)
+from .regularity import pythagoras_check
 
 
 # -- helpers -----------------------------------------------------------------

@@ -40,25 +40,29 @@ def test_gen_variety_roundtrip(tmp_path):
     assert np.array_equal(A, B.atom_indicator(((), (2,))))
 
 
-def test_decompose_cylinder_end_to_end(tmp_path):
+@pytest.mark.parametrize("mode,oracle", [
+    ("cylinder", "exhaustive"), ("cylinder", "randomized"),
+    ("global", "exhaustive"), ("global", "randomized")])
+def test_decompose_cylinder_end_to_end(tmp_path, mode, oracle):
     s = gen_set(tmp_path, kind="quadratic-variety",
                 params={"M": [[1, 0], [0, 1]], "value": 2}, p=3, n=2)
-    out = tmp_path / "run"
-    rc = main(["decompose", "--mode", "cylinder", "--set", str(s),
-               "--delta", "0.4", "--out", str(out)])
-    assert rc == 0
+
+    def run(out):
+        return main(["decompose", "--mode", mode, "--oracle", oracle,
+                     "--set", str(s), "--delta", "0.4", "--out", str(out)])
+
+    out, out2 = tmp_path / "run", tmp_path / "run2"
+    assert run(out) == 0
     assert (out / "partition.json").exists()
     with open(out / "trace.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert rows, "expected at least one step"
     assert set(rows[0]) == {"step", "kind", "index_before", "index_after",
                             "nonuniform_mass", "deletions", "witnesses"}
-    # determinism: rerun produces identical partition bytes
-    out2 = tmp_path / "run2"
-    assert main(["decompose", "--mode", "cylinder", "--set", str(s),
-                 "--delta", "0.4", "--out", str(out2)]) == 0
-    assert (out / "partition.json").read_bytes() == \
-        (out2 / "partition.json").read_bytes()
+    # determinism: a rerun writes identical bytes
+    assert run(out2) == 0
+    for name in ("partition.json", "trace.csv"):
+        assert (out / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_decompose_global_mode(tmp_path):
@@ -126,3 +130,40 @@ def test_verify_quick_command(tmp_path, capsys):
     assert rep["ok"] is True
     assert (tmp_path / "size_diagnostics.csv").exists()
     assert (tmp_path / "norm_equivalence.csv").exists()
+
+
+def _write(path, obj):
+    io.save_json(path, obj)
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["negative-member", "member-too-large",
+                                  "unsupported-p", "delta-zero",
+                                  "norms-group-mismatch",
+                                  "atom-union-without-labels", "gen-bad-p"])
+def test_bad_input_exits_4(tmp_path, capsys, case):
+    out = str(tmp_path / "out")
+    # decompose cases: (p, members, delta)
+    decompose = {"negative-member": (3, [0, -1], "0.4"),
+                 "member-too-large": (3, [0, 9], "0.4"),
+                 "unsupported-p": (4, [0], "0.4"),
+                 "delta-zero": (3, [0], "0")}
+    if case in decompose:
+        p, members, delta = decompose[case]
+        s = _write(tmp_path / "set.json", {"p": p, "n": 2, "kind": "indicator",
+                                           "elements": members})
+        argv = ["decompose", "--set", s, "--delta", delta, "--out", out]
+    elif case == "norms-group-mismatch":
+        factor = _write(tmp_path / "factor.json",
+                        factor_to_dict(QuadraticFactor(3, 3, [(1, 0, 0)], [])))
+        fn = _write(tmp_path / "f.json", io.function_to_dict(np.ones(9), 3, 2))
+        argv = ["norms", "--factor", factor, "--function", fn, "--out", out]
+    elif case == "atom-union-without-labels":
+        argv = ["gen", "--kind", "atom-union", "--params", '{"L": [[1, 0]]}',
+                "--p", "3", "--n", "2", "--out", out]
+    elif case == "gen-bad-p":
+        argv = ["gen", "--kind", "random", "--p", "4", "--n", "2", "--out", out]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not os.path.exists(out)
