@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import gf
-from .factors import QuadraticFactor, combine_matrices
+from .factors import QuadraticFactor, nontrivial_combinations
 
 
 @dataclass(frozen=True)
@@ -125,11 +125,8 @@ def _is_valid_deletion(B: QuadraticFactor, B2: QuadraticFactor, rho) -> bool:
         return False
     p = B.p
     demand = rho(B.l + B.q)
-    for coeffs in product(range(p), repeat=B.q):
-        if all(c == 0 for c in coeffs):
-            continue
-        U = combine_matrices(B.Q, coeffs, p)
-        if gf.mat_rank(U, p) >= demand:
+    for coeffs, U, rank in nontrivial_combinations(B):
+        if rank >= demand:
             continue
         for kill in range(B.q):
             if coeffs[kill] == 0:

@@ -2,7 +2,8 @@
 
 Subcommands: decompose, verify, vc2, chain-bounds, norms, gen.
 Exit codes for decompose: 0 success, 2 oracle-failure, 3 budget-exceeded.
-Every subcommand exits 4 on bad input, printing one `error: ...` line.
+Every subcommand exits 4 on bad input, usage errors included, printing one
+`error: ...` line; `--help` exits 0.
 `--oracle exhaustive` falls back to 2,000 randomized restarts once
 p^(n(n+1)/2+n+1) > 10^7 (from n=4 at p=3).
 """
@@ -155,8 +156,16 @@ def cmd_gen(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are bad input: one `error:` line and exit 4, not
+    argparse's exit 2 (decompose's oracle-failure code)."""
+
+    def error(self, message):
+        raise io.InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="quadreg")
+    ap = _Parser(prog="quadreg")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     d = sub.add_parser("decompose", help="energy-increment decompositions")
@@ -209,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (io.InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

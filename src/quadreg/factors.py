@@ -44,6 +44,7 @@ class QuadraticFactor:
             raise ValueError("quadratic part has repeated matrices")
         self._label_codes = None
         self._bq_tables = None
+        self._rank = None
 
     # -- basic shape ---------------------------------------------------------
 
@@ -138,28 +139,29 @@ class QuadraticFactor:
     # -- rank ------------------------------------------------------------------
 
     def rank(self) -> int:
-        return factor_rank(self)
+        if self._rank is None:
+            self._rank = factor_rank(self)
+        return self._rank
 
 
 def trivial_factor(p, n) -> QuadraticFactor:
     return QuadraticFactor(p, n)
 
 
+def nontrivial_combinations(B: QuadraticFactor):
+    """(coeffs, U, rank of U) for every nontrivial combination
+    U = sum_j coeffs_j M_j of the matrices, coeffs in lexicographic order."""
+    for coeffs in product(range(B.p), repeat=B.q):
+        if any(coeffs):
+            U = combine_matrices(B.Q, coeffs, B.p)
+            yield coeffs, U, gf.mat_rank(U, B.p)
+
+
 def factor_rank(B: QuadraticFactor) -> int:
     """Minimal rank over nontrivial combinations of the matrices; n for q=0."""
-    if B.q == 0:
-        return B.n
     if B.q > MAX_Q_FOR_RANK:
         raise ValueError(f"factor_rank refuses q > {MAX_Q_FOR_RANK}")
-    best = B.n
-    for coeffs in product(range(B.p), repeat=B.q):
-        if all(c == 0 for c in coeffs):
-            continue
-        U = combine_matrices(B.Q, coeffs, B.p)
-        r = gf.mat_rank(U, B.p)
-        if r < best:
-            best = r
-    return best
+    return min((r for _, _, r in nontrivial_combinations(B)), default=B.n)
 
 
 def combine_matrices(Q, coeffs, p):
@@ -178,13 +180,8 @@ def find_low_rank_combination(B: QuadraticFactor, rho):
     """First (lexicographic) nontrivial coefficient tuple whose combination
     has rank < rho(l+q), or None."""
     demand = rho(B.l + B.q)
-    for coeffs in product(range(B.p), repeat=B.q):
-        if all(c == 0 for c in coeffs):
-            continue
-        U = combine_matrices(B.Q, coeffs, B.p)
-        if gf.mat_rank(U, B.p) < demand:
-            return coeffs, U
-    return None
+    return next(((coeffs, U) for coeffs, U, r in nontrivial_combinations(B)
+                 if r < demand), None)
 
 
 def rho_matrix_delete(B: QuadraticFactor, rho) -> QuadraticFactor:
@@ -211,7 +208,7 @@ def rank_refine(B: QuadraticFactor, rho):
     while True:
         if B.q == 0:
             return B, deletions, B.n >= rho(B.l)
-        if factor_rank(B) >= rho(B.l + B.q):
+        if B.rank() >= rho(B.l + B.q):
             return B, deletions, True
         B = rho_matrix_delete(B, rho)
         deletions += 1
@@ -249,7 +246,3 @@ def factor_from_dict(d: dict) -> QuadraticFactor:
 
 def label_to_dict(label) -> dict:
     return {"a": list(label[0]), "b": list(label[1])}
-
-
-def label_from_dict(d: dict):
-    return (tuple(d.get("a", [])), tuple(d.get("b", [])))

@@ -101,9 +101,8 @@ def dft(f, grp: Group) -> np.ndarray:
     transforms.  Index r (encoded) gives fhat(r) = sum_x f(x) w^{-r.x}."""
     v = as_values(f, grp).astype(np.complex128)
     cube = v.reshape((grp.p,) * grp.n)
-    # encoded index = sum c_i p^i, so coordinate 0 is the *last* axis of the
-    # C-order reshape... it is not: flat = sum idx[k] p^{n-1-k}, so axis n-1
-    # matches coordinate 0.  The transform is applied to every axis anyway.
+    # the encoded index sum_i c_i p^i puts coordinate i on axis n-1-i of the
+    # C-order reshape; every axis is transformed, so the order is immaterial
     W = _dft_matrix(grp.p)
     for axis in range(grp.n):
         cube = np.tensordot(W, cube, axes=([1], [axis]))

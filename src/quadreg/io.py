@@ -8,7 +8,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .factors import factor_to_dict
+from .factors import factor_to_dict, label_to_dict
 from .gf import group
 
 
@@ -89,11 +89,10 @@ def set_from_dict(d: dict):
 
 def cells_to_dict(cells, p: int, n: int) -> dict:
     out = []
-    for c in sorted(cells, key=lambda c: (c.factor.l, c.factor.q,
-                                          c.factor.label_to_code(c.label))):
+    for c in sorted(cells, key=lambda c: c.key()):
         out.append({
             "factor": factor_to_dict(c.factor),
-            "label": {"a": list(c.label[0]), "b": list(c.label[1])},
+            "label": label_to_dict(c.label),
             "sigma": list(c.sigma),
             "members": sorted(int(x) for x in c.members),
             "density": c.density,

@@ -73,36 +73,6 @@ def _cube_points(grp, x, h1, h2, h3):
             a[a[a[x, h1], h2], h3])
 
 
-def omega_member_definitional(B: QuadraticFactor, e, x, h1, h2, h3) -> bool:
-    """All eight cube points lie in atom B(e)."""
-    code = B.label_to_code(e)
-    lc = B.label_codes()
-    return all(lc[pt] == code for pt in _cube_points(B.grp, x, h1, h2, h3))
-
-
-def omega_member_constraints(B: QuadraticFactor, e, x, h1, h2, h3) -> bool:
-    """Equivalent predicate: x in B(e); h_i in L(0); 2 b_Q(x,h_i) = -b_Q(h_i,h_i);
-    b_Q(h_i,h_j) = 0 for i != j."""
-    p = B.p
-    lc = B.label_codes()
-    if lc[x] != B.label_to_code(e):
-        return False
-    hs = [B.grp.decode(h) for h in (h1, h2, h3)]
-    xd = B.grp.decode(x)
-    for h in hs:
-        if any(v != 0 for v in B.beta_L(h)):
-            return False
-        bxh = B.beta_Q(xd, h)
-        bhh = B.beta_Q(h, h)
-        if any((2 * a + b) % p != 0 for a, b in zip(bxh, bhh)):
-            return False
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if any(v != 0 for v in B.beta_Q(hs[i], hs[j])):
-                return False
-    return True
-
-
 def omega_member_definitional_bulk(B, e, X, H1, H2, H3) -> np.ndarray:
     code = B.label_to_code(e)
     lc = B.label_codes()
@@ -197,10 +167,12 @@ def omega_members(B: QuadraticFactor, e):
 # -- the two local norms -----------------------------------------------------
 
 def norm_P_eighth(f, B: QuadraticFactor, e) -> float:
-    """u3_eighth_fast(f * 1_{B(e)}) / |Omega_{B(e)}|, with a 0 fallback when the
-    numerator vanishes (covers empty atoms)."""
+    """u3_eighth_fast(f * 1_{B(e)}) / |Omega_{B(e)}|; 0 when f vanishes on
+    the atom (empty atoms included) or the numerator is below 1e-12."""
     v = gowers.as_values(f, B.grp).astype(np.float64)
     restricted = v * B.atom_indicator(e)
+    if not restricted.any():
+        return 0.0
     num = gowers.u3_eighth_fast(restricted, B.grp)
     if abs(num) < 1e-12:
         return 0.0
@@ -353,46 +325,29 @@ def preimage_intersection(B: QuadraticFactor, d: LocalLabelTuple, e,
     hcd = g.decode(hc)
     wd = g.decode(w)
 
-    def xset():
+    def admissible(label, own, others, pair):
+        """u in B(label) with b_Q(u, h) = 0 for h in `others`,
+        2 b_Q(u, own) = -b_Q(own, own) and b_Q(u, w) = label_b + pair + d_ab."""
+        target = tuple((a + b + c) % p for a, b, c in zip(label[1], pair, d.d_ab))
         out = []
-        target = tuple((a + b + c) % p
-                       for a, b, c in zip(d.d_a[1], d.d_ac, d.d_ab))
-        for x in B.enumerate_atom(d.d_a):
-            xd = g.decode(x)
-            if any(v != 0 for v in B.beta_Q(xd, hbd)):
-                continue
-            if any(v != 0 for v in B.beta_Q(xd, hcd)):
+        for u in B.enumerate_atom(label):
+            ud = g.decode(u)
+            if any(any(B.beta_Q(ud, h)) for h in others):
                 continue
             if any((2 * a + b) % p != 0
-                   for a, b in zip(B.beta_Q(xd, had), B.beta_Q(had, had))):
+                   for a, b in zip(B.beta_Q(ud, own), B.beta_Q(own, own))):
                 continue
-            if B.beta_Q(xd, wd) != target:
+            if B.beta_Q(ud, wd) != target:
                 continue
-            out.append(int(x))
+            out.append(int(u))
         return out
 
-    def yset():
-        out = []
-        target = tuple((a + b + c) % p
-                       for a, b, c in zip(d.d_b[1], d.d_bc, d.d_ab))
-        for y in B.enumerate_atom(d.d_b):
-            yd = g.decode(y)
-            if any(v != 0 for v in B.beta_Q(yd, had)):
-                continue
-            if any(v != 0 for v in B.beta_Q(yd, hcd)):
-                continue
-            if any((2 * a + b) % p != 0
-                   for a, b in zip(B.beta_Q(yd, hbd), B.beta_Q(hbd, hbd))):
-                continue
-            if B.beta_Q(yd, wd) != target:
-                continue
-            out.append(int(y))
-        return out
-
+    xs = admissible(d.d_a, had, (hbd, hcd), d.d_ac)
+    ys = admissible(d.d_b, hbd, (had, hcd), d.d_bc)
     out = set()
     a, neg = g.add, g.neg
-    for x in xset():
-        for y in yset():
+    for x in xs:
+        for y in ys:
             if B.q and B.beta_Q(g.decode(x), g.decode(y)) != d.d_ab:
                 continue
             z = a[a[w, neg[x]], neg[y]]

@@ -165,14 +165,7 @@ def _best_linear_part(f_masked: np.ndarray, grp: Group, quad_vals: np.ndarray):
     g = f * w^{quad}: the modulus at frequency s equals the sum with
     r = -s."""
     g = f_masked * np.exp(2j * np.pi * quad_vals / grp.p)
-    # direct multi-axis transform on the complex values
-    cube = g.reshape((grp.p,) * grp.n)
-    from .gowers import _dft_matrix
-    W = _dft_matrix(grp.p)
-    for axis in range(grp.n):
-        cube = np.tensordot(W, cube, axes=([1], [axis]))
-        cube = np.moveaxis(cube, 0, axis)
-    mags = np.abs(cube.reshape(grp.size))
+    mags = np.abs(gowers.dft(g, grp))
     s = int(np.argmax(mags))
     r = tuple(int((-ci) % grp.p) for ci in grp.coords[s])
     return r, float(mags[s])
@@ -260,12 +253,8 @@ def _atoms(A, members, factor: QuadraticFactor, sigma, history, delta):
         P = members[codes == code]
         label = factor.code_to_label(int(code))
         density = float(np.count_nonzero(A[P])) / len(P)
-        f = _centred(A, P, density, g.size)
-        normP8 = 0.0
-        if np.max(np.abs(f)) >= 1e-15:
-            num = gowers.u3_eighth_fast(f, g)
-            oc = localnorms.omega_count(factor, label)
-            normP8 = num / oc if oc else 0.0
+        normP8 = localnorms.norm_P_eighth(_centred(A, P, density, g.size),
+                                          factor, label)
         out.append(CylinderCell(factor=factor, label=label, sigma=sigma,
                                 members=P, chain=history + [factor],
                                 density=density, normP8=normP8,

@@ -140,7 +140,9 @@ def _write(path, obj):
 @pytest.mark.parametrize("case", ["negative-member", "member-too-large",
                                   "unsupported-p", "delta-zero",
                                   "norms-group-mismatch",
-                                  "atom-union-without-labels", "gen-bad-p"])
+                                  "atom-union-without-labels", "gen-bad-p",
+                                  "usage-missing-set", "usage-delta-not-a-number",
+                                  "usage-unknown-command"])
 def test_bad_input_exits_4(tmp_path, capsys, case):
     out = str(tmp_path / "out")
     # decompose cases: (p, members, delta)
@@ -163,7 +165,20 @@ def test_bad_input_exits_4(tmp_path, capsys, case):
                 "--p", "3", "--n", "2", "--out", out]
     elif case == "gen-bad-p":
         argv = ["gen", "--kind", "random", "--p", "4", "--n", "2", "--out", out]
+    elif case == "usage-missing-set":
+        argv = ["decompose", "--delta", "0.4", "--out", out]
+    elif case == "usage-delta-not-a-number":
+        argv = ["decompose", "--set", "set.json", "--delta", "abc", "--out", out]
+    elif case == "usage-unknown-command":
+        argv = ["decomposee", "--out", out]
     assert main(argv) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not os.path.exists(out)
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["decompose", "--help"])
+    assert e.value.code == 0
+    assert "--delta" in capsys.readouterr().out

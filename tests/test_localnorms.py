@@ -52,7 +52,7 @@ def test_omega_members_match_count():
         assert len(mem) == omega_count(B, e)
         assert len(set(mem)) == len(mem)
         for (x, h1, h2, h3) in mem[:50]:
-            assert localnorms.omega_member_definitional(B, e, x, h1, h2, h3)
+            assert localnorms.omega_member_definitional_bulk(B, e, x, h1, h2, h3)
 
 
 @given(st.integers(0, 10 ** 9))

@@ -3,11 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quadreg import regularity
+from quadreg import factors, regularity
 from quadreg.chains import linear_growth
 from quadreg.factors import QuadraticFactor, trivial_factor
-from quadreg.generators import random_factor
+from quadreg.generators import generate_set, random_factor
 from quadreg.gf import group
+from quadreg.localnorms import norm_P_eighth
 from quadreg.regularity import (BudgetExceeded, RunConfig, assemble_main,
                                 correlation, cylinder_decompose,
                                 global_decompose, index, inverse_oracle,
@@ -144,3 +145,39 @@ def test_uniform_set_stops_immediately():
                                        RunConfig(seed=1), p=3, n=2)
     assert len(cells) == 1
     assert report["trace"] == []
+
+
+def _n3_cylinder_run(seed):
+    A = generate_set("random", {}, seed, 3, 3)
+    cells, report = cylinder_decompose(A, 0.3, linear_growth(1),
+                                       RunConfig(seed=0), p=3, n=3)
+    return A, cells, report
+
+
+def test_factor_rank_once_per_factor(monkeypatch):
+    rank = factors.factor_rank
+    calls = {}  # id -> [factor, count]; holding the factor keeps ids unique
+
+    def counting(B):
+        calls.setdefault(id(B), [B, 0])[1] += 1
+        return rank(B)
+
+    monkeypatch.setattr(factors, "factor_rank", counting)
+    A, cells, report = _n3_cylinder_run(0)  # two steps of each kind
+    validate_cells(cells, linear_growth(1), A.size)
+    assert {t.kind for t in report["trace"]} == {1, -1}
+    assert calls and all(count == 1 for _, count in calls.values())
+
+
+def test_cell_norm_is_norm_P_eighth():
+    A, cells, _ = _n3_cylinder_run(2)  # pure and mixed cells
+    pure = 0
+    for c in cells:
+        f = np.zeros(A.size)
+        f[c.members] = A[c.members] - c.density
+        expected = norm_P_eighth(f, c.factor, c.label)
+        assert c.normP8.hex() == expected.hex()
+        if c.density in (0.0, 1.0):
+            pure += 1
+            assert c.normP8.hex() == (0.0).hex()
+    assert 0 < pure < len(cells)
