@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -120,6 +121,7 @@ def cmd_chain_bounds(args) -> int:
 def cmd_norms(args) -> int:
     with io.input_errors(args.factor):
         B = factor_from_dict(io.load_json(args.factor))
+        B.rank()  # the report needs it; past MAX_Q_FOR_RANK this refuses
     f, p, n = io.function_from_dict(io.load_json(args.function))
     if (p, n) != (B.p, B.n):
         raise io.InputError("function and factor live on different groups")
@@ -129,22 +131,16 @@ def cmd_norms(args) -> int:
                                            "normTW8", "diff"])
         w.writeheader()
         for e in B.all_labels():
-            oc = localnorms.omega_count(B, e)
-            p8 = localnorms.norm_P_eighth(f, B, e)
             # canonical local-label with d_a = e and everything else zero
-            zero = ((0,) * B.l, (0,) * B.q)
-            zq = (0,) * B.q
-            d = localnorms.LocalLabelTuple(e, zero, zero, zq, zq, zq)
-            try:
-                tw8 = localnorms.norm_TW_eighth(f, B, d)
-                diff = tw8 - p8
-            except localnorms.DegenerateLabelError:
-                tw8, diff = "degenerate", ""
-            w.writerow({"label": str(e),
-                        "atom_size": len(B.enumerate_atom(e)),
-                        "omega_count": oc,
-                        "omega_predicted": localnorms.omega_predicted(B),
-                        "normP8": p8, "normTW8": tw8, "diff": diff})
+            d = dataclasses.replace(localnorms.trivial_local_label(B), d_a=e)
+            rep = localnorms.norm_equivalence_report(f, B, e, d)
+            degenerate = rep["degenerate"]
+            w.writerow({"label": str(e), "atom_size": rep["atom_size"],
+                        "omega_count": rep["omega_count"],
+                        "omega_predicted": rep["omega_predicted"],
+                        "normP8": rep["p8"],
+                        "normTW8": "degenerate" if degenerate else rep["tw8"],
+                        "diff": "" if degenerate else rep["diff"]})
     return 0
 
 

@@ -124,16 +124,22 @@ class QuadraticFactor:
     def atom_indicator(self, label) -> np.ndarray:
         return (self.label_codes() == self.label_to_code(label))
 
+    def pair_code(self, values) -> int:
+        """The code of a pair value b in F_p^q, digits as in label_to_code."""
+        return self.label_to_code(((), values))
+
     def bq_tables(self) -> np.ndarray:
-        """Shape (q, N, N): beta_Q components on all pairs (encoded)."""
+        """Shape (N, N): the pair code of beta_Q(x, y) for all encoded pairs,
+        sum_j beta_{M_j}(x, y) p^j; all zeros when q = 0."""
         if self._bq_tables is None:
-            g = self.grp
-            E = g.coords
-            tabs = np.empty((self.q, g.size, g.size), dtype=np.int64)
-            for i, M in enumerate(self.Q):
-                Mv = np.array(M, dtype=np.int64)
-                tabs[i] = (E @ Mv @ E.T) % self.p
-            self._bq_tables = tabs
+            E = self.grp.coords
+            table = np.zeros((self.grp.size, self.grp.size), dtype=np.int64)
+            for j, M in enumerate(self.Q):
+                digit = E @ np.array(M, dtype=np.int64) @ E.T
+                digit %= self.p
+                digit *= self.p ** j
+                table += digit
+            self._bq_tables = table
         return self._bq_tables
 
     # -- rank ------------------------------------------------------------------

@@ -66,6 +66,8 @@ def function_from_dict(d: dict):
     with input_errors("set/function file"):
         g = group(d["p"], d["n"])
         if d["kind"] == "indicator":
+            if any(type(m) is not int for m in d["elements"]):
+                raise InputError("set members must be integers")
             members = np.asarray(d["elements"], dtype=np.int64)
             if members.size and not 0 <= members.min() <= members.max() < g.size:
                 raise InputError(f"set members must lie in [0, {g.size})")

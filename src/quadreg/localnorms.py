@@ -85,23 +85,17 @@ def omega_member_definitional_bulk(B, e, X, H1, H2, H3) -> np.ndarray:
 
 
 def omega_member_constraints_bulk(B, e, X, H1, H2, H3) -> np.ndarray:
-    p = B.p
+    """x in B(e); each h in L(0) with 2 beta_Q(x,h) + beta_Q(h,h) = 0, which
+    is beta_Q(2x+h, h) = 0 by bilinearity; beta_Q(h_a, h_b) = 0 pairwise."""
     X = np.asarray(X)
-    lc = B.label_codes()
-    ok = lc[X] == B.label_to_code(e)
+    add, bq = B.grp.add, B.bq_tables()
+    ok = B.label_codes()[X] == B.label_to_code(e)
     lin0 = _linear_zero_mask(B)
-    bq = B.bq_tables() if B.q else None
     Hs = [np.asarray(H) for H in (H1, H2, H3)]
     for H in Hs:
-        ok &= lin0[H]
-        if B.q:
-            for i in range(B.q):
-                ok &= (2 * bq[i][X, H] + bq[i][H, H]) % p == 0
-    if B.q:
-        for a in range(3):
-            for b in range(a + 1, 3):
-                for i in range(B.q):
-                    ok &= bq[i][Hs[a], Hs[b]] == 0
+        ok &= lin0[H] & (bq[add[add[X, X], H], H] == 0)
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        ok &= bq[Hs[a], Hs[b]] == 0
     return ok
 
 
@@ -117,22 +111,11 @@ def _linear_zero_mask(B: QuadraticFactor) -> np.ndarray:
 def _omega_h_sets(B: QuadraticFactor, e):
     """For each x in B(e): the encoded h's satisfying the single-h
     constraints, plus the pairwise-orthogonality matrix over those h's."""
-    atom = B.enumerate_atom(e)
+    add, bq = B.grp.add, B.bq_tables()
     lin0 = np.nonzero(_linear_zero_mask(B))[0]
-    bq = B.bq_tables() if B.q else None
-    for x in atom:
-        if B.q:
-            ok = np.ones(len(lin0), dtype=bool)
-            for i in range(B.q):
-                ok &= (2 * bq[i][x, lin0] + bq[i][lin0, lin0]) % B.p == 0
-            hs = lin0[ok]
-            pair_ok = np.ones((len(hs), len(hs)), dtype=bool)
-            for i in range(B.q):
-                pair_ok &= bq[i][np.ix_(hs, hs)] == 0
-        else:
-            hs = lin0
-            pair_ok = np.ones((len(hs), len(hs)), dtype=bool)
-        yield int(x), hs, pair_ok
+    for x in B.enumerate_atom(e):
+        hs = lin0[bq[add[add[x, x], lin0], lin0] == 0]
+        yield int(x), hs, bq[np.ix_(hs, hs)] == 0
 
 
 def omega_count(B: QuadraticFactor, e) -> int:
@@ -181,26 +164,24 @@ def norm_P_eighth(f, B: QuadraticFactor, e) -> float:
 
 def fibre_size(B: QuadraticFactor, d_pair) -> int:
     """|{(x,y) in G^2 : beta_Q(x,y) = d_pair}|."""
-    if B.q == 0:
-        return B.grp.size ** 2
-    bq = B.bq_tables()
-    ok = np.ones((B.grp.size, B.grp.size), dtype=bool)
-    for i in range(B.q):
-        ok &= bq[i] == d_pair[i]
-    return int(ok.sum())
+    return int(np.count_nonzero(B.bq_tables() == B.pair_code(d_pair)))
 
 
-def _pair_mask(B, members, d_pair, others=None):
-    """Boolean mask over `members` of beta_Q(x, m) == d_pair for all x in
-    `others` (encoded)."""
-    ok = np.ones(len(members), dtype=bool)
-    if B.q == 0:
-        return ok
+def _k222_slices(B: QuadraticFactor, d: LocalLabelTuple):
+    """For each (x1, x2) in B(d_a)^2: the y in B(d_b) and z in B(d_c) whose
+    pair values with both x1 and x2 are d_ab and d_ac, and the mask of
+    beta_Q(y, z) = d_bc over ys x zs."""
     bq = B.bq_tables()
-    for x in others:
-        for i in range(B.q):
-            ok &= bq[i][x, members] == d_pair[i]
-    return ok
+    Xa, Yb, Zc = (B.enumerate_atom(lab) for lab in (d.d_a, d.d_b, d.d_c))
+    ab, ac, bc = (B.pair_code(v) for v in (d.d_ab, d.d_ac, d.d_bc))
+    in_bc = bq == bc
+    y_ok = bq[np.ix_(Xa, Yb)] == ab
+    z_ok = bq[np.ix_(Xa, Zc)] == ac
+    for i1, x1 in enumerate(Xa):
+        for i2, x2 in enumerate(Xa):
+            ys = Yb[y_ok[i1] & y_ok[i2]]
+            zs = Zc[z_ok[i1] & z_ok[i2]]
+            yield x1, x2, ys, zs, in_bc[ys[:, None], zs]
 
 
 def k222_sum(f, B: QuadraticFactor, d: LocalLabelTuple):
@@ -209,77 +190,45 @@ def k222_sum(f, B: QuadraticFactor, d: LocalLabelTuple):
     ||W W^T||_F^2 for W[y,z] = f-products gated by the cross constraints."""
     g = B.grp
     v = gowers.as_values(f, g).astype(np.float64)
-    Xa = B.enumerate_atom(d.d_a)
-    Yb = B.enumerate_atom(d.d_b)
-    Zc = B.enumerate_atom(d.d_c)
-    bq = B.bq_tables() if B.q else None
     total = 0.0
-    for x1 in Xa:
-        for x2 in Xa:
-            ys = Yb[_pair_mask(B, Yb, d.d_ab, (x1, x2))]
-            if len(ys) == 0:
-                continue
-            zs = Zc[_pair_mask(B, Zc, d.d_ac, (x1, x2))]
-            if len(zs) == 0:
-                continue
-            # W[y, z] = f(x1+y+z) f(x2+y+z) * [beta_Q(y,z) = d_bc]
-            s1 = g.add[g.add[x1, ys][:, None], zs[None, :]]
-            s2 = g.add[g.add[x2, ys][:, None], zs[None, :]]
-            W = v[s1] * v[s2]
-            if B.q:
-                cross = np.ones(W.shape, dtype=bool)
-                for i in range(B.q):
-                    cross &= bq[i][np.ix_(ys, zs)] == d.d_bc[i]
-                W = W * cross
-            M = W @ W.T
-            total += float((M * M).sum())
+    for x1, x2, ys, zs, cross in _k222_slices(B, d):
+        if cross.size == 0:
+            continue
+        # W[y, z] = f(x1+y+z) f(x2+y+z) * [beta_Q(y,z) = d_bc]
+        yz = g.add[ys[:, None], zs]
+        W = v[g.add[x1]][yz] * v[g.add[x2]][yz] * cross
+        M = W @ W.T
+        total += float((M * M).sum())
     return total
 
 
 def k222_members(B: QuadraticFactor, d: LocalLabelTuple):
     """Explicit 6-tuples (x1,x2,y1,y2,z1,z2) of K222(d); tiny n only."""
-    g = B.grp
-    Xa = B.enumerate_atom(d.d_a)
-    Yb = B.enumerate_atom(d.d_b)
-    Zc = B.enumerate_atom(d.d_c)
-    bq = B.bq_tables() if B.q else None
     out = []
-    for x1 in Xa:
-        for x2 in Xa:
-            ys = Yb[_pair_mask(B, Yb, d.d_ab, (x1, x2))]
-            zs = Zc[_pair_mask(B, Zc, d.d_ac, (x1, x2))]
-            for y1 in ys:
-                for y2 in ys:
-                    for z1 in zs:
-                        for z2 in zs:
-                            if B.q:
-                                bad = False
-                                for y in (y1, y2):
-                                    for z in (z1, z2):
-                                        for i in range(B.q):
-                                            if bq[i][y, z] != d.d_bc[i]:
-                                                bad = True
-                                if bad:
-                                    continue
-                            out.append((int(x1), int(x2), int(y1), int(y2),
-                                        int(z1), int(z2)))
+    for x1, x2, ys, zs, cross in _k222_slices(B, d):
+        # [y1, y2, z1, z2]: all four cross pairs have pair value d_bc
+        ok = (cross[:, None, :, None] & cross[:, None, None, :]
+              & cross[None, :, :, None] & cross[None, :, None, :])
+        y1, y2, z1, z2 = np.nonzero(ok)
+        rows = np.stack([np.full(len(y1), x1), np.full(len(y1), x2),
+                         ys[y1], ys[y2], zs[z1], zs[z2]], axis=1)
+        out.extend(map(tuple, rows.tolist()))
     return out
 
 
 def k111_members(B: QuadraticFactor, d: LocalLabelTuple):
     """Triples (x,y,z) with the three atom labels and three pair values."""
-    bq = B.bq_tables() if B.q else None
-    out = []
-    for x in B.enumerate_atom(d.d_a):
-        for y in B.enumerate_atom(d.d_b):
-            if B.q and any(bq[i][x, y] != d.d_ab[i] for i in range(B.q)):
-                continue
-            for z in B.enumerate_atom(d.d_c):
-                if B.q and (any(bq[i][x, z] != d.d_ac[i] for i in range(B.q))
-                            or any(bq[i][y, z] != d.d_bc[i] for i in range(B.q))):
-                    continue
-                out.append((int(x), int(y), int(z)))
-    return out
+    bq = B.bq_tables()
+    X, Y = B.enumerate_atom(d.d_a), B.enumerate_atom(d.d_b)
+    xy = bq[X[:, None], Y] == B.pair_code(d.d_ab)
+    if not xy.any():  # most labels of a small factor stop here
+        return []
+    Z = B.enumerate_atom(d.d_c)
+    ok = (xy[:, :, None]
+          & (bq[X[:, None], Z] == B.pair_code(d.d_ac))[:, None, :]
+          & (bq[Y[:, None], Z] == B.pair_code(d.d_bc))[None, :, :])
+    i, j, k = np.nonzero(ok)
+    return list(zip(X[i].tolist(), Y[j].tolist(), Z[k].tolist()))
 
 
 def norm_TW_eighth(f, B: QuadraticFactor, d: LocalLabelTuple) -> float:
@@ -319,39 +268,27 @@ def preimage_intersection(B: QuadraticFactor, d: LocalLabelTuple, e,
     beta_Q(x,y) = d_ab, where X and Y carry the displayed constraints.
     Requires Sigma(d) = e and (w,ha,hb,hc) in Omega_{B(e)}."""
     assert sigma_label(B, d) == e
-    p, g = B.p, B.grp
-    had = g.decode(ha)
-    hbd = g.decode(hb)
-    hcd = g.decode(hc)
-    wd = g.decode(w)
+    g, bq = B.grp, B.bq_tables()
 
     def admissible(label, own, others, pair):
         """u in B(label) with b_Q(u, h) = 0 for h in `others`,
         2 b_Q(u, own) = -b_Q(own, own) and b_Q(u, w) = label_b + pair + d_ab."""
-        target = tuple((a + b + c) % p for a, b, c in zip(label[1], pair, d.d_ab))
-        out = []
-        for u in B.enumerate_atom(label):
-            ud = g.decode(u)
-            if any(any(B.beta_Q(ud, h)) for h in others):
-                continue
-            if any((2 * a + b) % p != 0
-                   for a, b in zip(B.beta_Q(ud, own), B.beta_Q(own, own))):
-                continue
-            if B.beta_Q(ud, wd) != target:
-                continue
-            out.append(int(u))
-        return out
+        atom = B.enumerate_atom(label)
+        target = B.pair_code([a + b + c for a, b, c in zip(label[1], pair, d.d_ab)])
+        ok = (bq[np.ix_(others, atom)] == 0).all(axis=0)
+        ok &= bq[g.add[g.add[atom, atom], own], own] == 0
+        ok &= bq[atom, w] == target
+        return atom[ok]
 
-    xs = admissible(d.d_a, had, (hbd, hcd), d.d_ac)
-    ys = admissible(d.d_b, hbd, (had, hcd), d.d_bc)
+    xs = admissible(d.d_a, ha, (hb, hc), d.d_ac)
+    ys = admissible(d.d_b, hb, (ha, hc), d.d_bc)
     out = set()
     a, neg = g.add, g.neg
     for x in xs:
-        for y in ys:
-            if B.q and B.beta_Q(g.decode(x), g.decode(y)) != d.d_ab:
-                continue
+        for y in ys[bq[x, ys] == B.pair_code(d.d_ab)]:
             z = a[a[w, neg[x]], neg[y]]
-            out.add((x, int(a[x, ha]), y, int(a[y, hb]), int(z), int(a[z, hc])))
+            out.add((int(x), int(a[x, ha]), int(y), int(a[y, hb]), int(z),
+                     int(a[z, hc])))
     return out
 
 

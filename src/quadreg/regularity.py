@@ -107,12 +107,11 @@ def pythagoras_check(A: np.ndarray, parts, refined_parts, N: int) -> Fraction:
 class InverseWitness:
     M: tuple  # symmetric matrix (rows of tuples)
     r: tuple  # linear part
-    c: int
     correlation: float
 
 
 def _monomial_design(grp: Group):
-    """Columns: x_i x_j (i <= j), then x_i, then 1; values mod p per element."""
+    """Columns: x_i x_j (i <= j), values mod p per element."""
     E = grp.coords
     p, n = grp.p, grp.n
     cols = []
@@ -121,9 +120,6 @@ def _monomial_design(grp: Group):
         for j in range(i, n):
             cols.append((E[:, i] * E[:, j]) % p)
             pairs.append((i, j))
-    for i in range(n):
-        cols.append(E[:, i] % p)
-    cols.append(np.ones(grp.size, dtype=np.int64))
     return np.stack(cols, axis=1), pairs
 
 
@@ -194,7 +190,7 @@ def inverse_oracle(f, grp: Group, members: np.ndarray, delta: float,
 
     def consider(quad_coeffs):
         nonlocal best
-        quad_vals = (design[:, :nquad] @ np.array(quad_coeffs, dtype=np.int64)) % p
+        quad_vals = (design @ np.array(quad_coeffs, dtype=np.int64)) % p
         r, mag = _best_linear_part(fm, grp, quad_vals)
         corr = mag / len(members)
         if best is None or corr > best[0] + 1e-15:
@@ -216,7 +212,7 @@ def inverse_oracle(f, grp: Group, members: np.ndarray, delta: float,
     if best is None or best[0] < threshold:
         return None
     corr, M, r = best
-    return InverseWitness(M=M, r=r, c=0, correlation=corr)
+    return InverseWitness(M=M, r=r, correlation=corr)
 
 
 # -- cells -------------------------------------------------------------------

@@ -6,15 +6,13 @@ the chain-calculus bounds, the exact energy bookkeeping of the decomposition
 algorithms, and recovery of planted structure.
 """
 
-import json
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 import pytest
 
 from quadreg import gowers, localnorms, vc2
-from quadreg.chains import (all_strings, corollary_chain_bound, disc,
+from quadreg.chains import (all_strings, corollary_chain_bound,
                             linear_growth, ones_count, poly_growth, tau,
                             tau_closed_bound)
 from quadreg.cli import main as cli_main

@@ -3,7 +3,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quadreg import chains
 from quadreg.chains import (ChainRecord, GrowthFunction, all_strings,
                             corollary_chain_bound, disc, f_sigma,
                             linear_growth, ones_count, poly_growth, tau,

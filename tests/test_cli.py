@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from itertools import product
 
 import numpy as np
 import pytest
@@ -124,6 +125,23 @@ def test_norms_command(tmp_path):
         assert r["omega_count"] == "81"
 
 
+def test_norms_command_empty_atom(tmp_path):
+    # x0^2 never takes the value 2 mod 3, so the atom ((), (2,)) is empty
+    fpath = _write(tmp_path / "factor.json",
+                   factor_to_dict(QuadraticFactor(3, 2, [], [[[1, 0], [0, 0]]])))
+    vals = np.random.default_rng(0).uniform(-1, 1, size=9)
+    fn = _write(tmp_path / "f.json", io.function_to_dict(vals, 3, 2))
+    out = tmp_path / "norms.csv"
+    assert main(["norms", "--factor", fpath, "--function", fn,
+                 "--out", str(out)]) == 0
+    with open(out) as fh:
+        rows = {r["label"]: r for r in csv.DictReader(fh)}
+    row = rows["((), (2,))"]
+    assert row["atom_size"] == "0"
+    assert row["normTW8"] == "degenerate"
+    assert row["diff"] == ""
+
+
 def test_verify_quick_command(tmp_path, capsys):
     assert main(["verify", "--level", "quick", "--out", str(tmp_path)]) == 0
     rep = json.loads(capsys.readouterr().out)
@@ -138,8 +156,9 @@ def _write(path, obj):
 
 
 @pytest.mark.parametrize("case", ["negative-member", "member-too-large",
+                                  "fractional-member", "boolean-member",
                                   "unsupported-p", "delta-zero",
-                                  "norms-group-mismatch",
+                                  "norms-group-mismatch", "norms-q-past-rank-cap",
                                   "atom-union-without-labels", "gen-bad-p",
                                   "usage-missing-set", "usage-delta-not-a-number",
                                   "usage-unknown-command"])
@@ -148,6 +167,8 @@ def test_bad_input_exits_4(tmp_path, capsys, case):
     # decompose cases: (p, members, delta)
     decompose = {"negative-member": (3, [0, -1], "0.4"),
                  "member-too-large": (3, [0, 9], "0.4"),
+                 "fractional-member": (3, [1.5, 2], "0.4"),
+                 "boolean-member": (3, [True, 2], "0.4"),
                  "unsupported-p": (4, [0], "0.4"),
                  "delta-zero": (3, [0], "0")}
     if case in decompose:
@@ -158,6 +179,12 @@ def test_bad_input_exits_4(tmp_path, capsys, case):
     elif case == "norms-group-mismatch":
         factor = _write(tmp_path / "factor.json",
                         factor_to_dict(QuadraticFactor(3, 3, [(1, 0, 0)], [])))
+        fn = _write(tmp_path / "f.json", io.function_to_dict(np.ones(9), 3, 2))
+        argv = ["norms", "--factor", factor, "--function", fn, "--out", out]
+    elif case == "norms-q-past-rank-cap":
+        Q = [[[a, b], [b, c]] for a, b, c in product(range(3), repeat=3)][1:14]
+        factor = _write(tmp_path / "factor.json",
+                        factor_to_dict(QuadraticFactor(3, 2, [], Q)))
         fn = _write(tmp_path / "f.json", io.function_to_dict(np.ones(9), 3, 2))
         argv = ["norms", "--factor", factor, "--function", fn, "--out", out]
     elif case == "atom-union-without-labels":

@@ -63,14 +63,22 @@ def test_beta_q_symmetric_bilinear(seed):
     assert got == expect
 
 
-def test_bq_tables_match_scalar():
-    B = QuadraticFactor(3, 2, [], [[[1, 2], [2, 0]], [[0, 1], [1, 1]]])
+@pytest.mark.parametrize("Q", [
+    [],
+    [[[1, 0], [0, 0]]],
+    [[[1, 2], [2, 0]], [[0, 1], [1, 1]]],
+    [[[1, 2], [2, 0]], [[0, 1], [1, 1]], [[2, 0], [0, 1]]]],
+    ids=["q0", "q1", "q2", "q3"])
+def test_bq_tables_match_scalar(Q):
+    B = QuadraticFactor(3, 2, [(1, 1)], Q)
     g = B.grp
-    tabs = B.bq_tables()
+    table = B.bq_tables()
+    assert table.shape == (g.size, g.size)
     for x in range(g.size):
         for y in range(g.size):
-            assert tuple(int(tabs[i, x, y]) for i in range(B.q)) == \
-                B.beta_Q(g.decode(x), g.decode(y))
+            assert table[x, y] == B.pair_code(B.beta_Q(g.decode(x), g.decode(y)))
+    if B.q == 0:
+        assert not table.any()
 
 
 def test_factor_rank_trivial_and_single():

@@ -3,9 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quadreg import factors, regularity
+from quadreg import factors
 from quadreg.chains import linear_growth
-from quadreg.factors import QuadraticFactor, trivial_factor
+from quadreg.factors import QuadraticFactor
 from quadreg.generators import generate_set, random_factor
 from quadreg.gf import group
 from quadreg.localnorms import norm_P_eighth

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from quadreg import vc2
 from quadreg.factors import QuadraticFactor
