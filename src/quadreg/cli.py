@@ -84,13 +84,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_vc2(args) -> int:
+    if args.kmax < 1:
+        raise io.InputError("--kmax must be at least 1")
     A, p, n = io.set_from_dict(io.load_json(args.set))
     g = group(p, n)
-    vd = vc2mod.vc_dim(A, g, min(args.kmax, vc2mod.KMAX_HARD))
-    v2, saturated = vc2mod.vc2_dim(A, g, min(args.kmax, vc2mod.KMAX_HARD))
+    kmax = min(args.kmax, vc2mod.KMAX_HARD)
+    vd = vc2mod.vc_dim(A, g, kmax)
+    v2, saturated, wit = vc2mod.vc2_search(A, g, kmax)
     witnesses = {}
     if v2 >= 1:
-        _, wit = vc2mod.vc2_dim_at_least(A, g, v2, witness=True)
         witnesses["vc2"] = {"a": list(wit[0]), "b": list(wit[1]),
                             "c_by_pattern": wit[2]}
     print(io.dumps_canonical({"vc_dim": vd, "vc2_dim": v2,
@@ -185,7 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("vc2", help="VC / VC2 dimension of a set")
     c.add_argument("--set", required=True)
-    c.add_argument("--kmax", type=int, default=2)
+    c.add_argument("--kmax", type=int, default=2,
+                   help="largest k to test, at least 1; values above "
+                        f"{vc2mod.KMAX_HARD} are clamped to {vc2mod.KMAX_HARD}")
     c.set_defaults(fn=cmd_vc2)
 
     cb = sub.add_parser("chain-bounds", help="tau / f_sigma tables as CSV")

@@ -2,13 +2,20 @@
 
 The shattering definitions use the group operation (addition here):
 VC: a_i + b_S in A iff i in S; VC2: a_i + b_j + c_S in A iff (i,j) in S.
-Exhaustive search; the c-quantifier is handled by collecting the achievable
-membership patterns over all translates.
+Exhaustive search over the candidates in lexicographic order (a-tuples for
+VC; (a, b) grids for VC2, a outer), batched: the membership patterns of a
+batch of candidates over all translates are packed into integer codes
+(bit i for a_i, bit i*k + j for a_i + b_j) with one gather from the table
+inA[x + c], and the first candidate whose codes take all 2^m values is the
+witness.  Batches start at one candidate, so early exits stay cheap, and
+double up to _BATCH_ENTRIES gathered entries.  At n = 3 a VC2 dimension-1
+set runs all C(27, 2)^2 = 123,201 grids of the k = 2 search in about 0.1 s.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
+from math import comb
 
 import numpy as np
 
@@ -16,12 +23,40 @@ from .gf import Group
 
 KMAX_HARD = 3
 
+_BATCH_ENTRIES = 1 << 16  # candidates x points x translates per batch
+
 
 def _as_mask(A, grp: Group) -> np.ndarray:
     m = np.asarray(A, dtype=bool)
     if m.shape != (grp.size,):
         raise ValueError("set must be a dense mask over the group")
     return m
+
+
+def _first_shattered(T: np.ndarray, points, count: int, m: int):
+    """First candidate g < count whose m points x have membership patterns
+    T[x, c] (bit i for point i) taking all 2^m values over the translates c.
+    `points(lo, hi)` gives the (hi - lo, m) points of candidates lo..hi-1 and
+    is called on consecutive ranges.  Returns (g, its points,
+    {pattern: first c}) or None."""
+    N = T.shape[1]
+    want = 1 << m
+    weights = (1 << np.arange(m, dtype=np.int32))[:, None]
+    cap = max(1, _BATCH_ENTRIES // (m * N))
+    lo, size = 0, 1
+    while lo < count:
+        hi = min(count, lo + size)
+        pts = points(lo, hi)
+        codes = (T[pts] * weights).sum(axis=1)  # (batch, N)
+        seen = np.zeros((hi - lo, want), dtype=bool)
+        seen[np.arange(hi - lo)[:, None], codes] = True
+        full = np.flatnonzero(seen.all(axis=1))
+        if full.size:
+            r = int(full[0])
+            _, first = np.unique(codes[r], return_index=True)
+            return lo + r, pts[r], dict(enumerate(first.tolist()))
+        lo, size = hi, min(2 * size, cap)
+    return None
 
 
 def vc_dim_at_least(A, grp: Group, k: int, witness: bool = False):
@@ -32,20 +67,19 @@ def vc_dim_at_least(A, grp: Group, k: int, witness: bool = False):
     inA = _as_mask(A, grp)
     if k == 0:
         return (True, ()) if witness else True
-    add = grp.add
     N = grp.size
-    want = 2 ** k
-    for a_tuple in combinations(range(N), k):
-        # pattern(b) = bits of membership of a_i + b
-        pat = np.zeros(N, dtype=np.int64)
-        for i, a in enumerate(a_tuple):
-            pat |= inA[add[a, :]].astype(np.int64) << i
-        if len(np.unique(pat)) == want:
-            if witness:
-                bs = {int(s): int(np.nonzero(pat == s)[0][0]) for s in range(want)}
-                return True, (a_tuple, bs)
-            return True
-    return (False, None) if witness else False
+    tuples = combinations(range(N), k)
+
+    def points(lo, hi):  # the a-tuples themselves: T[a, b] is a + b in A
+        return np.array(list(islice(tuples, hi - lo)), dtype=np.intp)
+
+    found = _first_shattered(inA[grp.add], points, comb(N, k), k)
+    if found is None:
+        return (False, None) if witness else False
+    if witness:
+        _, a, bs = found
+        return True, (tuple(a.tolist()), bs)
+    return True
 
 
 def vc2_dim_at_least(A, grp: Group, k: int, witness: bool = False):
@@ -56,30 +90,25 @@ def vc2_dim_at_least(A, grp: Group, k: int, witness: bool = False):
     inA = _as_mask(A, grp)
     if k == 0:
         return (True, ()) if witness else True
-    add = grp.add
     N = grp.size
-    want = 2 ** (k * k)
-    if want > N:
+    if 2 ** (k * k) > N:
         return (False, None) if witness else False
-    for a_tuple in combinations(range(N), k):
-        # U[i, b, c] = membership of a_i + b + c
-        U = np.empty((k, N, N), dtype=bool)
-        for i, a in enumerate(a_tuple):
-            U[i] = inA[add[add[a, :][:, None], np.arange(N)[None, :]]]
-        for b_tuple in combinations(range(N), k):
-            pat = np.zeros(N, dtype=np.int64)
-            bit = 0
-            for i in range(k):
-                for j, b in enumerate(b_tuple):
-                    pat |= U[i, b, :].astype(np.int64) << bit
-                    bit += 1
-            if len(np.unique(pat)) == want:
-                if witness:
-                    cs = {int(s): int(np.nonzero(pat == s)[0][0])
-                          for s in range(want)}
-                    return True, (a_tuple, b_tuple, cs)
-                return True
-    return (False, None) if witness else False
+    add = grp.add
+    tup = np.array(list(combinations(range(N), k)), dtype=np.intp)
+    M = len(tup)
+
+    def points(lo, hi):  # grid g is (tup[g // M], tup[g % M]); a_i + b_j
+        g = np.arange(lo, hi)
+        grid = add[tup[g // M][:, :, None], tup[g % M][:, None, :]]
+        return grid.reshape(hi - lo, k * k)
+
+    found = _first_shattered(inA[add], points, M * M, k * k)
+    if found is None:
+        return (False, None) if witness else False
+    if witness:
+        g, _, cs = found
+        return True, (tuple(tup[g // M].tolist()), tuple(tup[g % M].tolist()), cs)
+    return True
 
 
 def vc_dim(A, grp: Group, kmax: int = KMAX_HARD) -> int:
@@ -92,13 +121,19 @@ def vc_dim(A, grp: Group, kmax: int = KMAX_HARD) -> int:
     return best
 
 
+def vc2_search(A, grp: Group, kmax: int = KMAX_HARD):
+    """(value, saturated, witness): vc2_dim plus the witness
+    (a, b, {pattern: c}) of the largest shattered grid, None at value 0."""
+    best, wit = 0, None
+    for k in range(1, kmax + 1):
+        ok, w = vc2_dim_at_least(A, grp, k, witness=True)
+        if not ok:
+            return best, False, wit
+        best, wit = k, w
+    return best, True, wit
+
+
 def vc2_dim(A, grp: Group, kmax: int = KMAX_HARD):
     """Largest k <= kmax that is shattered; (value, saturated) where
     saturated means the cap was reached and larger k remains possible."""
-    best = 0
-    for k in range(1, kmax + 1):
-        if vc2_dim_at_least(A, grp, k):
-            best = k
-        else:
-            return best, False
-    return best, True
+    return vc2_search(A, grp, kmax)[:2]

@@ -19,8 +19,9 @@ from .chains import (all_strings, corollary_chain_bound, disc, f_sigma,
 from .factors import QuadraticFactor
 from .generators import random_factor
 from .gf import group
-from .localnorms import (all_local_labels, fibre_size, k111_members,
-                         omega_count, omega_predicted, sigma_label)
+from .localnorms import (LocalLabelTuple, all_local_labels, fibre_size,
+                         k111_members, omega_count, omega_predicted,
+                         sigma_label)
 from .regularity import pythagoras_check
 
 
@@ -159,16 +160,29 @@ def check_omega_identity(level):
 
 
 def check_sigma1(level):
+    """x+y+z lies in the atom sigma_label(d) for every triple (x, y, z) in
+    G^3, d its local label: the atom labels of x, y, z and the pair values
+    beta_Q(x,y), beta_Q(x,z), beta_Q(y,z).  Triples are grouped by label,
+    so sigma_label runs once per label that occurs."""
     rng = np.random.default_rng(17)
     B = random_factor(3, 2, 1, 1, rng)
-    for d in all_local_labels(B):
-        e = sigma_label(B, d)
-        code = B.label_to_code(e)
-        lc = B.label_codes()
-        for (x, y, z) in k111_members(B, d)[:50]:
-            s = B.grp.add[B.grp.add[x, y], z]
-            if lc[s] != code:
-                return {"ok": False, "detail": f"triple sums outside atom {d}"}
+    g, lc, bq = B.grp, B.label_codes(), B.bq_tables()
+    x, y, z = np.indices((g.size,) * 3).reshape(3, -1)
+    rows = np.stack([lc[x], lc[y], lc[z], bq[x, y], bq[x, z], bq[y, z]], axis=1)
+    labels, which = np.unique(rows, axis=0, return_inverse=True)
+
+    def local_label(row):
+        atoms = [B.code_to_label(int(c)) for c in row[:3]]
+        pairs = [tuple(int(c) // B.p ** j % B.p for j in range(B.q))
+                 for c in row[3:]]
+        return LocalLabelTuple(*atoms, *pairs)
+
+    want = np.array([B.label_to_code(sigma_label(B, local_label(row)))
+                     for row in labels])
+    bad = np.flatnonzero(want[which.reshape(-1)] != lc[g.add[g.add[x, y], z]])
+    if bad.size:
+        d = local_label(rows[bad[0]])
+        return {"ok": False, "detail": f"triple sums outside atom {d}"}
     return {"ok": True}
 
 

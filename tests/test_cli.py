@@ -161,7 +161,8 @@ def _write(path, obj):
                                   "norms-group-mismatch", "norms-q-past-rank-cap",
                                   "atom-union-without-labels", "gen-bad-p",
                                   "usage-missing-set", "usage-delta-not-a-number",
-                                  "usage-unknown-command"])
+                                  "usage-unknown-command", "vc2-kmax-zero",
+                                  "vc2-kmax-negative"])
 def test_bad_input_exits_4(tmp_path, capsys, case):
     out = str(tmp_path / "out")
     # decompose cases: (p, members, delta)
@@ -198,6 +199,9 @@ def test_bad_input_exits_4(tmp_path, capsys, case):
         argv = ["decompose", "--set", "set.json", "--delta", "abc", "--out", out]
     elif case == "usage-unknown-command":
         argv = ["decomposee", "--out", out]
+    elif case in ("vc2-kmax-zero", "vc2-kmax-negative"):
+        s = str(gen_set(tmp_path))
+        argv = ["vc2", "--set", s, "--kmax", "0" if case.endswith("zero") else "-1"]
     assert main(argv) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err

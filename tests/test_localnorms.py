@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadreg import gowers, localnorms
+from quadreg import gowers, localnorms, verify
 from quadreg.factors import QuadraticFactor, trivial_factor
 from quadreg.generators import random_factor
 from quadreg.gf import group
@@ -70,6 +72,24 @@ def test_sigma_label_is_sum_label(seed):
                         B.beta_Q(xd, zd), B.beta_Q(yd, zd))
     s = int(g.add[g.add[x, y], z])
     assert sigma_label(B, d) == B.atom_label_of(g.decode(s))
+
+
+@pytest.mark.parametrize("broken", ["pair-factor-1", "no-d_bc"])
+def test_sigma_check_catches_wrong_label(monkeypatch, broken):
+    # the verify check groups all triples of G^3 by local label; a
+    # sigma_label that gets the pair contributions wrong must fail it
+    def wrong(B, d):
+        if broken == "pair-factor-1":
+            d = replace(d, d_ab=tuple(2 * v for v in d.d_ab),
+                        d_ac=tuple(2 * v for v in d.d_ac),
+                        d_bc=tuple(2 * v for v in d.d_bc))
+        else:
+            d = replace(d, d_bc=(0,) * B.q)
+        return sigma_label(B, d)
+
+    assert verify.check_sigma1("quick")["ok"]
+    monkeypatch.setattr(verify, "sigma_label", wrong)
+    assert not verify.check_sigma1("quick")["ok"]
 
 
 def test_psi_fibres_n1():

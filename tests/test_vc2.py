@@ -1,7 +1,11 @@
+from itertools import combinations
+
 import numpy as np
+import pytest
 
 from quadreg import vc2
 from quadreg.factors import QuadraticFactor
+from quadreg.generators import generate_set
 from quadreg.gf import group
 
 
@@ -66,3 +70,72 @@ def test_witness_shape():
 
 def test_kmax_hard_cap():
     assert vc2.KMAX_HARD == 3
+
+
+# -- reference: one candidate at a time, np.unique on each pattern vector ----
+
+def vc_dim_at_least_ref(A, grp, k):
+    if k == 0:
+        return True, ()
+    add, N, want = grp.add, grp.size, 2 ** k
+    for a_tuple in combinations(range(N), k):
+        pat = np.zeros(N, dtype=np.int64)
+        for i, a in enumerate(a_tuple):
+            pat |= A[add[a, :]].astype(np.int64) << i
+        if len(np.unique(pat)) == want:
+            bs = {int(s): int(np.nonzero(pat == s)[0][0]) for s in range(want)}
+            return True, (a_tuple, bs)
+    return False, None
+
+
+def vc2_dim_at_least_ref(A, grp, k):
+    if k == 0:
+        return True, ()
+    add, N, want = grp.add, grp.size, 2 ** (k * k)
+    if want > N:
+        return False, None
+    for a_tuple in combinations(range(N), k):
+        U = np.empty((k, N, N), dtype=bool)  # U[i, b, c]: a_i + b + c in A
+        for i, a in enumerate(a_tuple):
+            U[i] = A[add[add[a, :][:, None], np.arange(N)[None, :]]]
+        for b_tuple in combinations(range(N), k):
+            pat = np.zeros(N, dtype=np.int64)
+            for i in range(k):
+                for j, b in enumerate(b_tuple):
+                    pat |= U[i, b, :].astype(np.int64) << (i * k + j)
+            if len(np.unique(pat)) == want:
+                cs = {int(s): int(np.nonzero(pat == s)[0][0])
+                      for s in range(want)}
+                return True, (a_tuple, b_tuple, cs)
+    return False, None
+
+
+def _sets(n):
+    """(name, mask): seeded random sets, a hyperplane coset and an atom
+    union.  At n = 3 the random sets leave the 2 x 2 grid search after 4,
+    1,414 and 1,421 grids, deep in a batch, while the coset and the atom
+    union (VC2 dimension 1) run it to the end; the 0.2 and 0.8 random sets
+    would too, so they stay at n = 2, where every search is short."""
+    zero = [0] * n
+    params = ([(0.2, 1), (0.5, 1), (0.8, 1)] if n == 2
+              else [(0.5, 1), (0.5, 4), (0.3, 0)])
+    out = [(f"random-{d}-{seed}", generate_set("random", {"density": d}, seed, 3, n))
+           for d, seed in params]
+    out.append(("coset", generate_set(
+        "coset", {"L": [[1] + zero[1:]], "a": [1]}, 0, 3, n)))
+    out.append(("atom-union", generate_set(
+        "atom-union", {"L": [[0, 1] + zero[2:]], "Q": [np.eye(n, dtype=int).tolist()],
+                       "labels": [{"a": [0], "b": [0]}, {"a": [1], "b": [2]}]},
+        0, 3, n)))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_batched_search_matches_reference(n):
+    g = group(3, n)
+    for name, A in _sets(n):
+        for k in range(4):
+            assert vc2.vc_dim_at_least(A, g, k, witness=True) == \
+                vc_dim_at_least_ref(A, g, k), (name, k)
+            assert vc2.vc2_dim_at_least(A, g, k, witness=True) == \
+                vc2_dim_at_least_ref(A, g, k), (name, k)
