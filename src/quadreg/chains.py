@@ -94,6 +94,23 @@ def f_sigma(rho, s):
     return a, b
 
 
+def f_table(rho, length: int) -> dict:
+    """f_sigma for every string of length <= length, in all_strings order
+    (shorter strings first); each entry extends its parent prefix by one
+    step of the recursion."""
+    table = {(): (Fraction(0), Fraction(0))}
+    level = [()]
+    for _ in range(length):
+        nxt = []
+        for s in level:
+            a, b = table[s]
+            table[s + (-1,)] = (a + rho(a + b), b - 1)
+            table[s + (1,)] = (a + 1, b + 1)
+            nxt += [s + (-1,), s + (1,)]
+        level = nxt
+    return table if length >= 0 else {}
+
+
 def tau_closed_bound(C, k, i, x, y):
     """Closed-form domination of tau_i(x,y) for rho(z) <= C z^k (z >= 1),
     rho(z) >= z: 2^{i k^i} C^{i k^i} (x+y)^{k^i}."""

@@ -4,8 +4,8 @@ Subcommands: decompose, verify, vc2, chain-bounds, norms, gen.
 Exit codes for decompose: 0 success, 2 oracle-failure, 3 budget-exceeded.
 Every subcommand exits 4 on bad input, usage errors included, printing one
 `error: ...` line; `--help` exits 0.
-`--oracle exhaustive` falls back to 2,000 randomized restarts once
-p^(n(n+1)/2+n+1) > 10^7 (from n=4 at p=3).
+The inverse oracle scans every quadratic part while p^(n(n+1)/2+n+1) <= 10^7
+and runs 2,000 randomized restarts past that (from n=4 at p=3).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import io, localnorms, vc2 as vc2mod
-from .chains import GrowthFunction, all_strings, f_sigma, tau
+from .chains import GrowthFunction, f_table, tau
 from .factors import factor_from_dict
 from .generators import generate_set
 from .gf import group
@@ -27,21 +27,13 @@ from .regularity import (BudgetExceeded, OracleFailure, RunConfig,
 from .verify import verify_suite
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(seed=args.seed, oracle=args.oracle,
-                     max_steps=args.max_steps)
-
-
 def cmd_decompose(args) -> int:
     if not 0 < args.delta <= 1:
         raise io.InputError("--delta must lie in (0, 1]")
     A, p, n = io.set_from_dict(io.load_json(args.set))
-    if args.p and args.p != p or args.n and args.n != n:
-        print("warning: --p/--n differ from the set file; using the file's",
-              file=sys.stderr)
     with io.input_errors("--rho"):
         rho = GrowthFunction.parse(args.rho)
-    config = _config_from_args(args)
+    config = RunConfig(seed=args.seed, max_steps=args.max_steps)
     os.makedirs(args.out, exist_ok=True)
     try:
         if args.mode == "global":
@@ -106,11 +98,9 @@ def cmd_chain_bounds(args) -> int:
         rho = GrowthFunction.parse(args.rho)
     w = csv.writer(sys.stdout)
     w.writerow(["sigma", "a", "b"])
-    for m in range(args.length + 1):
-        for s in all_strings(m):
-            a, b = f_sigma(rho, s)
-            w.writerow(["".join("+" if x == 1 else "-" for x in s),
-                        float(a), float(b)])
+    for s, (a, b) in f_table(rho, args.length).items():
+        w.writerow(["".join("+" if x == 1 else "-" for x in s),
+                    float(a), float(b)])
     w.writerow([])
     w.writerow(["tau_i", "x", "y", "value"])
     for i in range(args.tau_imax + 1):
@@ -169,13 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("decompose", help="energy-increment decompositions")
     d.add_argument("--mode", choices=["global", "cylinder"], default="cylinder")
     d.add_argument("--set", required=True)
-    d.add_argument("--p", type=int, default=None)
-    d.add_argument("--n", type=int, default=None)
     d.add_argument("--delta", type=float, required=True)
     d.add_argument("--rho", default="linear:1")
     d.add_argument("--seed", type=int, default=0)
-    d.add_argument("--oracle", choices=["exhaustive", "randomized"],
-                   default="exhaustive")
     d.add_argument("--max-steps", type=int, default=None)
     d.add_argument("--out", required=True)
     d.set_defaults(fn=cmd_decompose)

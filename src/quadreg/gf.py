@@ -49,9 +49,6 @@ class Group:
     def decode(self, idx: int) -> tuple[int, ...]:
         return tuple(int(c) for c in self.coords[idx])
 
-    def elements(self):
-        return range(self.size)
-
     def __repr__(self):
         return f"Group(p={self.p}, n={self.n})"
 
@@ -131,10 +128,6 @@ def mat_mul_vec(M, v, p):
 
 def dot(u, v, p):
     return sum(a * b for a, b in zip(u, v)) % p
-
-
-def quad_form(M, x, p):
-    return dot(x, mat_mul_vec(M, x, p), p)
 
 
 def bilinear(M, x, y, p):

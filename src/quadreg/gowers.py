@@ -31,19 +31,6 @@ def _is_integral(v: np.ndarray) -> bool:
     return bool(np.all(v == np.round(v)))
 
 
-def pi_f(f, grp: Group, x: int, h1: int, h2: int, h3: int):
-    """Product of f over the 8 cube points x + w.h, w in {0,1}^3."""
-    a = grp.add
-    v = as_values(f, grp)
-    pts = [x, a[x, h1], a[x, h2], a[x, h3],
-           a[a[x, h1], h2], a[a[x, h1], h3], a[a[x, h2], h3],
-           a[a[a[x, h1], h2], h3]]
-    out = 1.0
-    for pt in pts:
-        out *= v[pt]
-    return out
-
-
 def u2_fourth_naive(f, grp: Group):
     v = as_values(f, grp)
     N = grp.size
@@ -128,34 +115,21 @@ def u3_eighth_fast(f, grp: Group):
 
 def rewrite_sum_g6(f, grp: Group):
     """sum over (x1,x2,y1,y2,z1,z2) in G^6 of prod_{i,j,k} f(x_i+y_j+z_k).
-    Equals p^{2n} * u3_eighth_naive(f).
-
-    Small groups get the literal 6-fold broadcast; otherwise we contract
-    exactly: the product splits over i, so the sum is
-    sum_{y1,y2} ||G^T G||_F^2 with G[x,z] = f(x+y1+z) f(x+y2+z).
-    """
+    Equals p^{2n} * u3_eighth_naive(f).  A literal 6-fold broadcast, so it
+    refuses groups with more than 10^6 such tuples."""
     v = as_values(f, grp)
     N = grp.size
+    if N ** 6 > 10 ** 6:
+        raise ValueError("rewrite_sum_g6: enumeration too large")
     integral = _is_integral(v)
     if integral:
         v = np.round(v).astype(np.int64)
     a = grp.add
-    if N ** 6 <= 10 ** 6:
-        # F3[x, y, z] = f(x + y + z); broadcast axes (x1,x2,y1,y2,z1,z2)
-        s2 = a[np.arange(N)[:, None], np.arange(N)[None, :]]
-        F3 = v[a[s2[:, :, None], np.arange(N)[None, None, :]]]
-        P = (F3[:, :, None, :, None] * F3[:, :, None, None, :]
-             * F3[:, None, :, :, None] * F3[:, None, :, None, :])
-        # P[x, y1, y2, z1, z2] = prod_{j,k} f(x + y_j + z_k)
-        Q = np.einsum("ayzwv,byzwv->", P, P)
-        return int(Q) if integral else float(Q)
-    if N ** 2 * N > NAIVE_CAP:
-        raise ValueError("rewrite_sum_g6: enumeration too large")
-    total = 0
-    for y1 in range(N):
-        for y2 in range(N):
-            # G[x, z] = f(x + y1 + z) * f(x + y2 + z)
-            G = v[a[a[:, y1], :]] * v[a[a[:, y2], :]]
-            M = G.T @ G
-            total += (M * M).sum()
-    return int(total) if integral else float(total)
+    # F3[x, y, z] = f(x + y + z); broadcast axes (x1,x2,y1,y2,z1,z2)
+    s2 = a[np.arange(N)[:, None], np.arange(N)[None, :]]
+    F3 = v[a[s2[:, :, None], np.arange(N)[None, None, :]]]
+    P = (F3[:, :, None, :, None] * F3[:, :, None, None, :]
+         * F3[:, None, :, :, None] * F3[:, None, :, None, :])
+    # P[x, y1, y2, z1, z2] = prod_{j,k} f(x + y_j + z_k)
+    Q = np.einsum("ayzwv,byzwv->", P, P)
+    return int(Q) if integral else float(Q)

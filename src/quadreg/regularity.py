@@ -39,7 +39,6 @@ class BudgetExceeded(RuntimeError):
 class RunConfig:
     max_steps: int | None = None
     seed: int = 0
-    oracle: str = "exhaustive"  # or "randomized"
 
     def threshold(self, delta: float) -> float:
         return delta ** C_INV / C_INV
@@ -168,12 +167,13 @@ def _best_linear_part(f_masked: np.ndarray, grp: Group, quad_vals: np.ndarray):
 
 
 def inverse_oracle(f, grp: Group, members: np.ndarray, delta: float,
-                   config: RunConfig, rng=None):
+                   config: RunConfig, rng: np.random.Generator):
     """Search for a quadratic polynomial whose phase correlates with f on the
     atom at level >= delta^C/C.  Exhaustive over all p^{n(n+1)/2} quadratic
     parts (the linear part is optimized exactly via character sums, the
     constant only rotates phase) when the polynomial count fits the cap;
-    otherwise randomized restarts over sparse quadratic parts.
+    otherwise randomized restarts over sparse quadratic parts, drawn from
+    `rng`.
     """
     if len(members) == 0:
         return None
@@ -197,11 +197,10 @@ def inverse_oracle(f, grp: Group, members: np.ndarray, delta: float,
             M = _coeffs_to_matrix(grp, quad_coeffs, pairs)
             best = (corr, M, r)
 
-    if config.oracle == "exhaustive" and total_polys <= EXHAUSTIVE_CAP:
+    if total_polys <= EXHAUSTIVE_CAP:
         for quad_coeffs in product(range(p), repeat=nquad):
             consider(quad_coeffs)
     else:
-        rng = rng or np.random.default_rng(config.seed)
         consider((0,) * nquad)
         for _ in range(ATTEMPTS):
             support = rng.integers(1, max(2, nquad // 2 + 1))
@@ -280,7 +279,7 @@ def _search(A, cells, delta, config: RunConfig, rng, state) -> dict:
     for c in cells:
         g = c.factor.grp
         f = _centred(A, c.members, c.density, g.size)
-        wit = inverse_oracle(f, g, c.members, delta, config, rng=rng)
+        wit = inverse_oracle(f, g, c.members, delta, config, rng)
         if wit is None:
             failed.append(c)
         else:
@@ -316,7 +315,8 @@ class StepRecord:
     corr_bound: float       # float bound from achieved correlations
 
 
-def _decompose(A, delta: float, rho, config: RunConfig, p, n, shared: bool):
+def _decompose(A, delta: float, rho, config: RunConfig, p: int, n: int,
+               shared: bool):
     """The energy-increment loop shared by both decompositions.  Type -1
     steps replace every low-rank cell by its atoms under its factor minus
     one matrix (rho_matrix_delete).  Type +1 steps run the oracle on every
@@ -327,8 +327,6 @@ def _decompose(A, delta: float, rho, config: RunConfig, p, n, shared: bool):
 
     Returns (cells, trace, final index, non-uniform mass)."""
     A = np.asarray(A, dtype=bool)
-    if p is None or n is None:
-        raise ValueError("p and n required")
     g = group(p, n)
     if A.shape != (g.size,):
         raise ValueError("set indicator has wrong length")
@@ -388,8 +386,8 @@ def _decompose(A, delta: float, rho, config: RunConfig, p, n, shared: bool):
         cells, ind = new_cells, ind_after
 
 
-def cylinder_decompose(A, delta: float, rho, config: RunConfig,
-                       p: int | None = None, n: int | None = None):
+def cylinder_decompose(A, delta: float, rho, config: RunConfig, *,
+                       p: int, n: int):
     """Iteratively refine a partition of G into atoms of per-cell factors:
     type -1 steps delete a low-rank matrix from every low-rank cell's factor,
     type +1 steps split every non-uniform cell along an inverse witness.
@@ -403,8 +401,8 @@ def cylinder_decompose(A, delta: float, rho, config: RunConfig,
                    "nonuniform_mass": mass, "cells": len(cells)}
 
 
-def global_decompose(A, delta: float, rho, config: RunConfig,
-                     p: int | None = None, n: int | None = None):
+def global_decompose(A, delta: float, rho, config: RunConfig, *,
+                     p: int, n: int):
     """Single-factor energy increment: refine one quadratic factor until the
     atoms where 1_A - alpha has large local norm cover <= delta |G|."""
     cells, trace, _, mass = _decompose(A, delta, rho, config, p, n,
@@ -417,8 +415,8 @@ def global_decompose(A, delta: float, rho, config: RunConfig,
 
 # -- assembly ----------------------------------------------------------------
 
-def assemble_main(A, delta: float, rho, k: int, config: RunConfig,
-                  p: int | None = None, n: int | None = None,
+def assemble_main(A, delta: float, rho, k: int, config: RunConfig, *,
+                  p: int, n: int,
                   mu: float | None = None, epsilon: float | None = None):
     """End-to-end pipeline: cylinder decomposition at parameter mu, union of
     the cell factors, rank refinement, homogeneity statistics, and the

@@ -9,13 +9,13 @@ from __future__ import annotations
 import csv
 import os
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
 from . import gf, gowers, localnorms, vc2
-from .chains import (all_strings, corollary_chain_bound, disc, f_sigma,
-                     linear_growth, ones_count, poly_growth)
+from .chains import (corollary_chain_bound, disc, f_table, linear_growth,
+                     ones_count, poly_growth)
 from .factors import QuadraticFactor
 from .generators import random_factor
 from .gf import group
@@ -217,15 +217,14 @@ def check_chains(level):
     rhos = [(linear_growth(1), Fraction(2), 1), (linear_growth(2), Fraction(2), 1),
             (poly_growth(1, 2), Fraction(2), 2), (poly_growth(3, 2), Fraction(3), 2)]
     for rho, C, dd in rhos:
-        for m in range(cap + 1):
-            for s in all_strings(m):
-                a, b = f_sigma(rho, s)
-                if disc(s) >= 0:
-                    k = ones_count(s)
-                    if m >= 1:
-                        lb, qb = corollary_chain_bound(C, dd, m, k)
-                        if a > lb or b != 2 * k - m:
-                            return {"ok": False, "detail": f"chain bound {s}"}
+        # disc(s) >= 0 means k >= m / 2 ones
+        lbound = {(m, k): corollary_chain_bound(C, dd, m, k)[0]
+                  for m in range(1, cap + 1) for k in range((m + 1) // 2, m + 1)}
+        for s, (a, b) in f_table(rho, cap).items():
+            if s and disc(s) >= 0:
+                m, k = len(s), ones_count(s)
+                if a > lbound[m, k] or b != 2 * k - m:
+                    return {"ok": False, "detail": f"chain bound {s}"}
     return {"ok": True}
 
 
@@ -338,7 +337,7 @@ def write_size_diagnostics(path, level):
             })
         # weighted triple-product average vs 1 on a sample of label tuples
         N = B.grp.size
-        for d in list(all_local_labels(B))[:5]:
+        for d in islice(all_local_labels(B), 5):
             sizes = [len(B.enumerate_atom(lab)) for lab in (d.d_a, d.d_b, d.d_c)]
             fibres = [fibre_size(B, x) for x in (d.d_ab, d.d_ac, d.d_bc)]
             if 0 in sizes or 0 in fibres:

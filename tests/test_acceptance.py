@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from quadreg import gowers, localnorms, vc2
-from quadreg.chains import (all_strings, corollary_chain_bound,
+from quadreg.chains import (all_strings, corollary_chain_bound, f_table,
                             linear_growth, ones_count, poly_growth, tau,
                             tau_closed_bound)
 from quadreg.cli import main as cli_main
@@ -176,21 +176,6 @@ CHAIN_RHOS = [
     (poly_growth(1, 2), Fraction(2), 2),
     (poly_growth(3, 2), Fraction(3), 2),
 ]
-
-
-def f_table(rho, max_len):
-    """f_sigma for every string of length <= max_len, built incrementally."""
-    table = {(): (Fraction(0), Fraction(0))}
-    frontier = [()]
-    for _ in range(max_len):
-        nxt = []
-        for s in frontier:
-            a, b = table[s]
-            table[s + (1,)] = (a + 1, b + 1)
-            table[s + (-1,)] = (a + rho(a + b), b - 1)
-            nxt.extend([s + (1,), s + (-1,)])
-        frontier = nxt
-    return table
 
 
 @pytest.mark.parametrize("ri", range(4))

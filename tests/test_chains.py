@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quadreg.chains import (ChainRecord, GrowthFunction, all_strings,
-                            corollary_chain_bound, disc, f_sigma,
+                            corollary_chain_bound, disc, f_sigma, f_table,
                             linear_growth, ones_count, poly_growth, tau,
                             tau_closed_bound, validate_chain)
 from quadreg.factors import QuadraticFactor, rho_matrix_delete, trivial_factor
@@ -43,6 +43,15 @@ def test_f_sigma_worked_example():
     assert f_sigma(linear_growth(1), (1, 1, -1)) == (6, 1)
     assert f_sigma(linear_growth(1), ()) == (0, 0)
     assert f_sigma(linear_growth(1), (1,)) == (1, 1)
+
+
+def test_f_table_matches_f_sigma():
+    for rho in RHOS:
+        table = f_table(rho, 8)
+        assert list(table) == [s for m in range(9) for s in all_strings(m)]
+        assert all(table[s] == f_sigma(rho, s) for s in table)
+    assert f_table(RHOS[0], 0) == {(): (0, 0)}
+    assert f_table(RHOS[0], -1) == {}
 
 
 def test_f_sigma_all_ones_prefix():

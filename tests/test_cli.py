@@ -6,7 +6,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from quadreg import io
+from quadreg import io, regularity
+from quadreg.chains import GrowthFunction, f_sigma, tau
 from quadreg.cli import main
 from quadreg.factors import QuadraticFactor, factor_to_dict
 from quadreg.gf import group
@@ -44,13 +45,15 @@ def test_gen_variety_roundtrip(tmp_path):
 @pytest.mark.parametrize("mode,oracle", [
     ("cylinder", "exhaustive"), ("cylinder", "randomized"),
     ("global", "exhaustive"), ("global", "randomized")])
-def test_decompose_cylinder_end_to_end(tmp_path, mode, oracle):
+def test_decompose_cylinder_end_to_end(tmp_path, monkeypatch, mode, oracle):
     s = gen_set(tmp_path, kind="quadratic-variety",
                 params={"M": [[1, 0], [0, 1]], "value": 2}, p=3, n=2)
+    if oracle == "randomized":  # the restarts otherwise run only from n=4
+        monkeypatch.setattr(regularity, "EXHAUSTIVE_CAP", 0)
 
     def run(out):
-        return main(["decompose", "--mode", mode, "--oracle", oracle,
-                     "--set", str(s), "--delta", "0.4", "--out", str(out)])
+        return main(["decompose", "--mode", mode, "--set", str(s),
+                     "--delta", "0.4", "--out", str(out)])
 
     out, out2 = tmp_path / "run", tmp_path / "run2"
     assert run(out) == 0
@@ -104,6 +107,25 @@ def test_chain_bounds_command(capsys):
     assert "tau_i,x,y,value" in out
 
 
+@pytest.mark.parametrize("rho", ["linear:1", "poly:2,2", "linear:1/2"])
+def test_chain_bounds_rows_match_recursions(capsys, rho):
+    assert main(["chain-bounds", "--rho", rho, "--length", "6",
+                 "--tau-imax", "3", "--tau-xmax", "4"]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    blank = rows.index([])
+    f_rows, tau_rows = rows[1:blank], rows[blank + 2:]
+    g = GrowthFunction.parse(rho)
+    strings = [s for m in range(7) for s in product((-1, 1), repeat=m)]
+    assert [r[0] for r in f_rows] == ["".join("+" if x == 1 else "-" for x in s)
+                                      for s in strings]
+    for (_, a, b), s in zip(f_rows, strings):
+        assert (float(a), float(b)) == tuple(map(float, f_sigma(g, s)))
+    want = [(i, x, y) for i in range(4) for x in range(5) for y in range(i, 5)]
+    assert [tuple(map(int, r[:3])) for r in tau_rows] == want
+    for (i, x, y), r in zip(want, tau_rows):
+        assert float(r[3]) == float(tau(g, i, x, y))
+
+
 def test_norms_command(tmp_path):
     B = QuadraticFactor(3, 2, [(1, 0)], [])
     fpath = tmp_path / "factor.json"
@@ -142,12 +164,14 @@ def test_norms_command_empty_atom(tmp_path):
     assert row["diff"] == ""
 
 
-def test_verify_quick_command(tmp_path, capsys):
-    assert main(["verify", "--level", "quick", "--out", str(tmp_path)]) == 0
+@pytest.mark.parametrize("level", ["quick", "full"])
+def test_verify_command(tmp_path, capsys, level):
+    assert main(["verify", "--level", level, "--out", str(tmp_path)]) == 0
     rep = json.loads(capsys.readouterr().out)
-    assert rep["ok"] is True
-    assert (tmp_path / "size_diagnostics.csv").exists()
-    assert (tmp_path / "norm_equivalence.csv").exists()
+    assert rep["ok"] is True and len(rep) == 13  # 12 checks and the verdict
+    for name in ("size_diagnostics.csv", "norm_equivalence.csv"):
+        with open(tmp_path / name) as fh:
+            assert list(csv.DictReader(fh))
 
 
 def _write(path, obj):
@@ -162,7 +186,8 @@ def _write(path, obj):
                                   "atom-union-without-labels", "gen-bad-p",
                                   "usage-missing-set", "usage-delta-not-a-number",
                                   "usage-unknown-command", "vc2-kmax-zero",
-                                  "vc2-kmax-negative"])
+                                  "vc2-kmax-negative", "decompose-oracle",
+                                  "decompose-p"])
 def test_bad_input_exits_4(tmp_path, capsys, case):
     out = str(tmp_path / "out")
     # decompose cases: (p, members, delta)
@@ -199,6 +224,11 @@ def test_bad_input_exits_4(tmp_path, capsys, case):
         argv = ["decompose", "--set", "set.json", "--delta", "abc", "--out", out]
     elif case == "usage-unknown-command":
         argv = ["decomposee", "--out", out]
+    elif case in ("decompose-oracle", "decompose-p"):  # removed options
+        extra = (["--oracle", "exhaustive"] if case.endswith("oracle")
+                 else ["--p", "3"])
+        argv = ["decompose", "--set", str(gen_set(tmp_path)), "--delta", "0.4",
+                "--out", out] + extra
     elif case in ("vc2-kmax-zero", "vc2-kmax-negative"):
         s = str(gen_set(tmp_path))
         argv = ["vc2", "--set", s, "--kmax", "0" if case.endswith("zero") else "-1"]

@@ -125,8 +125,8 @@ def test_quad_bilinear_polarization(seed):
     x = tuple(int(c) for c in rng.integers(0, p, size=n))
     y = tuple(int(c) for c in rng.integers(0, p, size=n))
     xy = tuple((a + b) % p for a, b in zip(x, y))
-    lhs = gf.quad_form(M, xy, p)
-    rhs = (gf.quad_form(M, x, p) + gf.quad_form(M, y, p)
+    lhs = gf.bilinear(M, xy, xy, p)
+    rhs = (gf.bilinear(M, x, x, p) + gf.bilinear(M, y, y, p)
            + gf.bilinear(M, x, y, p) + gf.bilinear(M, y, x, p)) % p
     assert lhs == rhs
     # symmetry of the bilinear form for symmetric M

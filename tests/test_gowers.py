@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -78,11 +79,9 @@ def test_rewrite_sum_identity(seed, n):
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
 
-def test_pi_f_is_cube_product():
-    g = group(3, 1)
-    f = np.array([0.5, -1.0, 2.0])
-    # x=0, h1=1, h2=2, h3=0: cube points with repeats
-    val = gowers.pi_f(f, g, 0, 1, 2, 0)
-    pts = [0, 1, 2, int(g.add[1, 2]), 0, 1, 2, int(g.add[1, 2])]
-    expect = np.prod([f[t] for t in pts])
-    assert abs(val - expect) < 1e-12
+@pytest.mark.parametrize("fn,n", [(gowers.u3_eighth_naive, 4),
+                                  (gowers.rewrite_sum_g6, 3)])
+def test_naive_sums_refuse_large_groups(fn, n):
+    g = group(3, n)
+    with pytest.raises(ValueError, match="enumeration too large"):
+        fn(np.ones(g.size), g)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quadreg import factors
+from quadreg import factors, regularity
 from quadreg.chains import linear_growth
 from quadreg.factors import QuadraticFactor
 from quadreg.generators import generate_set, random_factor
@@ -91,6 +91,25 @@ def test_inverse_oracle_finds_planted_witness():
                          np.random.default_rng(0))
     assert wit is not None
     assert wit.correlation >= cfg.threshold(0.4)
+
+
+@pytest.mark.parametrize("search", ["exhaustive", "randomized"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_witness_achieves_reported_correlation(monkeypatch, n, search):
+    # ties the halved off-diagonals of M and r = -s to the reported number
+    if search == "randomized":
+        monkeypatch.setattr(regularity, "EXHAUSTIVE_CAP", 0)
+    g = group(3, n)
+    A = generate_set("random", {}, 0, 3, n)  # no atom of B is pure
+    B = QuadraticFactor(3, n, [(1,) + (0,) * (n - 1)], [])
+    rng = np.random.default_rng(0)
+    for members in [np.arange(g.size)] + atom_parts(B):
+        f = np.zeros(g.size)
+        f[members] = A[members] - A[members].mean()
+        wit = inverse_oracle(f, g, members, 0.01, RunConfig(), rng)
+        assert wit is not None
+        got = correlation(f, g, members, wit.M, wit.r)
+        assert abs(got - wit.correlation) <= 1e-12
 
 
 def test_cylinder_planted_recovery_small():
