@@ -13,7 +13,7 @@ import csv
 import numpy as np
 
 from quadreg.generators import random_factor
-from quadreg.localnorms import all_local_labels, norm_equivalence_report, sigma_label
+from quadreg.localnorms import norm_equivalence_samples
 
 
 def main():
@@ -31,21 +31,13 @@ def main():
     for fi in range(args.factors):
         B = random_factor(p, args.n, 2, 1, rng)
         f = rng.uniform(-1, 1, B.grp.size)
-        count = 0
-        for d in all_local_labels(B):
-            if count >= args.labels_per_factor:
-                break
-            e = sigma_label(B, d)
-            rep = norm_equivalence_report(f, B, e, d)
-            if rep["degenerate"]:
-                continue
-            count += 1
+        for rep in norm_equivalence_samples(f, B, args.labels_per_factor):
             rows.append({
                 "factor": fi, "l": B.l, "q": B.q, "rank": rep["rank"],
                 "atom_size": rep["atom_size"],
                 "omega_count": rep["omega_count"],
                 "omega_predicted": rep["omega_predicted"],
-                "normP8": rep["p8"], "normTW8": rep["tw8"],
+                "normP8": rep["normP8"], "normTW8": rep["normTW8"],
                 "abs_diff": abs(rep["diff"]),
             })
     with open(args.out, "w", newline="") as fh:

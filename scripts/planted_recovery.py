@@ -46,7 +46,7 @@ def main():
     dens = sorted({c.density for c in cells})
     print(f"cell densities on A: {dens}")
 
-    Bout, Y, rep = assemble_main(A, args.delta, rho, 2, cfg, p=p, n=args.n)
+    Bout, Y, rep = assemble_main(A, args.delta, rho, cfg, p=p, n=args.n)
     print(f"assembled factor complexity {rep['complexity']} rank {rep['rank']} "
           f"|A xor Y| = {rep['sym_diff']}")
 

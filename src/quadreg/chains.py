@@ -130,12 +130,6 @@ def corollary_chain_bound(C, d: int, m: int, k: int):
 
 # -- chain validation --------------------------------------------------------
 
-@dataclass
-class ChainRecord:
-    sigma: tuple
-    factors: list  # length len(sigma)+1, factors[0] trivial
-
-
 def _is_valid_deletion(B: QuadraticFactor, B2: QuadraticFactor, rho) -> bool:
     """Does B -> B2 match some rho-matrix deletion of B?"""
     if B2.q != B.q - 1 or B2.n != B.n or B2.p != B.p:
@@ -173,28 +167,30 @@ def _is_valid_addition(B: QuadraticFactor, B2: QuadraticFactor) -> bool:
     return B2.l - B.l <= 1 and B2.q - B.q <= 1 and B2.l >= B.l and B2.q >= B.q
 
 
-def validate_chain(rho, chain: ChainRecord) -> bool:
-    sigma = tuple(chain.sigma)
-    fs = chain.factors
-    if len(fs) != len(sigma) + 1:
+def validate_chain(rho, sigma, factors) -> bool:
+    """Is factors[0] -> ... -> factors[m] a valid chain for the string sigma
+    of length m: factors[0] trivial, step i an addition when sigma[i] = +1
+    and a rho-matrix deletion when -1, within the f_sigma bounds?"""
+    sigma = tuple(sigma)
+    if len(factors) != len(sigma) + 1:
         return False
-    if fs[0].l != 0 or fs[0].q != 0:
+    if factors[0].l != 0 or factors[0].q != 0:
         return False
     for i, bit in enumerate(sigma):
         if bit == 1:
-            if not _is_valid_addition(fs[i], fs[i + 1]):
+            if not _is_valid_addition(factors[i], factors[i + 1]):
                 return False
         elif bit == -1:
-            if not _is_valid_deletion(fs[i], fs[i + 1], rho):
+            if not _is_valid_deletion(factors[i], factors[i + 1], rho):
                 return False
         else:
             return False
     # complexity bounds along the chain
     for i in range(len(sigma) + 1):
         prefix = sigma[:i]
-        if not (0 <= fs[i].q <= disc(prefix)):
+        if not (0 <= factors[i].q <= disc(prefix)):
             return False
         a, b = f_sigma(rho, prefix)
-        if not (fs[i].l <= a and fs[i].q <= b):
+        if not (factors[i].l <= a and factors[i].q <= b):
             return False
     return True

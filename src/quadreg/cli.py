@@ -96,17 +96,24 @@ def cmd_vc2(args) -> int:
 def cmd_chain_bounds(args) -> int:
     with io.input_errors("--rho"):
         rho = GrowthFunction.parse(args.rho)
+    # every value is converted before any row is written, so an overflow
+    # leaves no partial table
+    try:
+        f_rows = [["".join("+" if x == 1 else "-" for x in s), float(a), float(b)]
+                  for s, (a, b) in f_table(rho, args.length).items()]
+        tau_rows = [[i, x, y, float(tau(rho, i, x, y))]
+                    for i in range(args.tau_imax + 1)
+                    for x in range(args.tau_xmax + 1)
+                    for y in range(i, args.tau_xmax + 1)]
+    except OverflowError:
+        raise io.InputError("chain-bounds: a value does not fit a float; "
+                            "lower --length or --tau-imax") from None
     w = csv.writer(sys.stdout)
     w.writerow(["sigma", "a", "b"])
-    for s, (a, b) in f_table(rho, args.length).items():
-        w.writerow(["".join("+" if x == 1 else "-" for x in s),
-                    float(a), float(b)])
+    w.writerows(f_rows)
     w.writerow([])
     w.writerow(["tau_i", "x", "y", "value"])
-    for i in range(args.tau_imax + 1):
-        for x in range(args.tau_xmax + 1):
-            for y in range(i, args.tau_xmax + 1):
-                w.writerow([i, x, y, float(tau(rho, i, x, y))])
+    w.writerows(tau_rows)
     return 0
 
 
@@ -120,19 +127,16 @@ def cmd_norms(args) -> int:
     with open(args.out, "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=["label", "atom_size", "omega_count",
                                            "omega_predicted", "normP8",
-                                           "normTW8", "diff"])
+                                           "normTW8", "diff"],
+                           extrasaction="ignore")
         w.writeheader()
         for e in B.all_labels():
             # canonical local-label with d_a = e and everything else zero
             d = dataclasses.replace(localnorms.trivial_local_label(B), d_a=e)
             rep = localnorms.norm_equivalence_report(f, B, e, d)
-            degenerate = rep["degenerate"]
-            w.writerow({"label": str(e), "atom_size": rep["atom_size"],
-                        "omega_count": rep["omega_count"],
-                        "omega_predicted": rep["omega_predicted"],
-                        "normP8": rep["p8"],
-                        "normTW8": "degenerate" if degenerate else rep["tw8"],
-                        "diff": "" if degenerate else rep["diff"]})
+            if rep["degenerate"]:
+                rep |= {"normTW8": "degenerate", "diff": ""}
+            w.writerow(rep)
     return 0
 
 

@@ -31,50 +31,39 @@ def _is_integral(v: np.ndarray) -> bool:
     return bool(np.all(v == np.round(v)))
 
 
-def u2_fourth_naive(f, grp: Group):
+def cube_points(grp: Group, x, *hs):
+    """The 2^d vertices x + sum_{i in S} h_i of the cube on x and h_1..h_d,
+    vertex S at index sum_{i in S} 2^i; arrays of indices broadcast."""
+    pts = [np.asarray(x)]
+    for h in hs:
+        pts += [grp.add[pt, h] for pt in pts]
+    return pts
+
+
+def _cube_sum_naive(f, grp: Group, d: int, name: str):
+    """Sum over (x, h_1..h_d) in G^(d+1) of the 2^d-point cube product,
+    broadcast over the addition table."""
     v = as_values(f, grp)
     N = grp.size
-    if N ** 3 > NAIVE_CAP:
-        raise ValueError("u2_fourth_naive: enumeration too large")
-    a = grp.add
-    x = np.arange(N)[:, None, None]
-    h1 = np.arange(N)[None, :, None]
-    h2 = np.arange(N)[None, None, :]
-    xh1 = a[x, h1]
-    xh2 = a[x, h2]
-    xh12 = a[xh1, h2]
-    if _is_integral(v):
-        w = np.round(v).astype(np.int64)
-        return int((w[x] * w[xh1] * w[xh2] * w[xh12]).sum())
-    return float((v[x] * v[xh1] * v[xh2] * v[xh12]).sum())
+    if N ** (d + 1) > NAIVE_CAP:
+        raise ValueError(f"{name}: enumeration too large")
+    integral = _is_integral(v)
+    if integral:
+        v = np.round(v).astype(np.int64)
+    pts = cube_points(grp, *np.ix_(*[np.arange(N)] * (d + 1)))
+    t = np.ones((N,) * (d + 1), dtype=v.dtype)
+    for pt in pts:
+        t *= v[pt]
+    return int(t.sum()) if integral else float(t.sum())
+
+
+def u2_fourth_naive(f, grp: Group):
+    return _cube_sum_naive(f, grp, 2, "u2_fourth_naive")
 
 
 def u3_eighth_naive(f, grp: Group):
     """Direct sum over G^4 (broadcast over the addition table)."""
-    v = as_values(f, grp)
-    N = grp.size
-    if N ** 4 > NAIVE_CAP:
-        raise ValueError("u3_eighth_naive: enumeration too large")
-    a = grp.add
-    x = np.arange(N)[:, None, None, None]
-    h1 = np.arange(N)[None, :, None, None]
-    h2 = np.arange(N)[None, None, :, None]
-    h3 = np.arange(N)[None, None, None, :]
-    xh1 = a[x, h1]
-    xh2 = a[x, h2]
-    xh3 = a[x, h3]
-    xh12 = a[xh1, h2]
-    xh13 = a[xh1, h3]
-    xh23 = a[xh2, h3]
-    xh123 = a[xh12, h3]
-    if _is_integral(v):
-        w = np.round(v).astype(np.int64)
-        t = w[x] * w[xh1] * w[xh2] * w[xh3]
-        t *= w[xh12] * w[xh13] * w[xh23] * w[xh123]
-        return int(t.sum())
-    t = v[x] * v[xh1] * v[xh2] * v[xh3]
-    t *= v[xh12] * v[xh13] * v[xh23] * v[xh123]
-    return float(t.sum())
+    return _cube_sum_naive(f, grp, 3, "u3_eighth_naive")
 
 
 @lru_cache(maxsize=32)

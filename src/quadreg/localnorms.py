@@ -8,7 +8,7 @@ relating them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
@@ -66,18 +66,10 @@ def sigma_label(B: QuadraticFactor, d: LocalLabelTuple):
 
 # -- Omega_B -----------------------------------------------------------------
 
-def _cube_points(grp, x, h1, h2, h3):
-    a = grp.add
-    return (x, a[x, h1], a[x, h2], a[x, h3],
-            a[a[x, h1], h2], a[a[x, h1], h3], a[a[x, h2], h3],
-            a[a[a[x, h1], h2], h3])
-
-
 def omega_member_definitional_bulk(B, e, X, H1, H2, H3) -> np.ndarray:
     code = B.label_to_code(e)
     lc = B.label_codes()
-    pts = _cube_points(B.grp, np.asarray(X), np.asarray(H1),
-                       np.asarray(H2), np.asarray(H3))
+    pts = gowers.cube_points(B.grp, X, H1, H2, H3)
     ok = np.ones(np.shape(pts[0]), dtype=bool)
     for pt in pts:
         ok &= lc[pt] == code
@@ -295,8 +287,9 @@ def preimage_intersection(B: QuadraticFactor, d: LocalLabelTuple, e,
 # -- reporting ---------------------------------------------------------------
 
 def norm_equivalence_report(f, B: QuadraticFactor, e, d: LocalLabelTuple) -> dict:
-    """Both eighth powers and their difference; never asserted for nontrivial
-    factors (the equivalence error depends on an unspecified rank constant)."""
+    """Both eighth powers and their difference, keyed by the norms CSV
+    columns; never asserted for nontrivial factors (the equivalence error
+    depends on an unspecified rank constant)."""
     assert sigma_label(B, d) == e
     p8 = norm_P_eighth(f, B, e)
     try:
@@ -305,14 +298,22 @@ def norm_equivalence_report(f, B: QuadraticFactor, e, d: LocalLabelTuple) -> dic
     except DegenerateLabelError:
         tw8 = float("nan")
         degenerate = True
-    oc = omega_count(B, e)
     return {
-        "p8": p8,
-        "tw8": tw8,
+        "label": str(e),
+        "atom_size": int(len(B.enumerate_atom(e))),
+        "omega_count": omega_count(B, e),
+        "omega_predicted": omega_predicted(B),
+        "normP8": p8,
+        "normTW8": tw8,
         "diff": tw8 - p8 if not degenerate else float("nan"),
         "degenerate": degenerate,
         "rank": B.rank(),
-        "omega_count": oc,
-        "omega_predicted": omega_predicted(B),
-        "atom_size": int(len(B.enumerate_atom(e))),
     }
+
+
+def norm_equivalence_samples(f, B: QuadraticFactor, count: int) -> list:
+    """Reports for the first `count` local labels d, in all_local_labels
+    order, whose weighted norm is defined; each at e = sigma_label(B, d)."""
+    reports = (norm_equivalence_report(f, B, sigma_label(B, d), d)
+               for d in all_local_labels(B))
+    return list(islice((r for r in reports if not r["degenerate"]), count))

@@ -13,7 +13,7 @@ from itertools import product
 import numpy as np
 
 from . import gf, gowers, localnorms
-from .chains import ChainRecord, disc, validate_chain
+from .chains import disc, validate_chain
 from .factors import QuadraticFactor, rank_refine, rho_matrix_delete, trivial_factor
 from .gf import Group, group
 
@@ -289,17 +289,20 @@ def _search(A, cells, delta, config: RunConfig, rng, state) -> dict:
     return found
 
 
-def _absorb(B: QuadraticFactor, witnesses) -> QuadraticFactor:
-    """B extended, witness by witness, by the linear part when it enlarges
-    span(L) (so L stays independent) and the quadratic part when it is
-    nonzero and new."""
-    L, Q = list(B.L), list(B.Q)
-    for w in witnesses:
-        if gf.mat_rank(L + [w.r], B.p) > len(L):
-            L.append(w.r)
-        if w.M not in Q and any(any(row) for row in w.M):
-            Q.append(w.M)
+def _extend(B: QuadraticFactor, vectors, matrices) -> QuadraticFactor:
+    """B with each vector appended when it enlarges span(L) (so L stays
+    independent) and each matrix appended when it is nonzero and new."""
+    Q = list(B.Q)
+    for M in matrices:
+        if M not in Q and any(any(row) for row in M):
+            Q.append(M)
+    L = gf.extend_to_independent(B.L, vectors, B.p)
     return QuadraticFactor(B.p, B.n, L, Q)
+
+
+def _absorb(B: QuadraticFactor, witnesses) -> QuadraticFactor:
+    """B extended by the witnesses' linear and quadratic parts."""
+    return _extend(B, [w.r for w in witnesses], [w.M for w in witnesses])
 
 
 @dataclass
@@ -415,67 +418,30 @@ def global_decompose(A, delta: float, rho, config: RunConfig, *,
 
 # -- assembly ----------------------------------------------------------------
 
-def assemble_main(A, delta: float, rho, k: int, config: RunConfig, *,
-                  p: int, n: int,
-                  mu: float | None = None, epsilon: float | None = None):
-    """End-to-end pipeline: cylinder decomposition at parameter mu, union of
-    the cell factors, rank refinement, homogeneity statistics, and the
-    approximating set Y = union of atoms with density > 1/2.
+def assemble_main(A, delta: float, rho, config: RunConfig, *, p: int, n: int):
+    """End-to-end pipeline: cylinder decomposition at delta, the union of the
+    uniform cells' factors, rank refinement, and the approximating set
+    Y = union of the atoms with density > 1/2.
 
-    The theory-prescribed mu = ((eps^2/8)^{k^2 2^{k^2}})/2 with
-    eps = (delta/120)^{k+2} is astronomically small; desk-scale runs override
-    it (default: mu = delta).  The quadratic-complexity-reduction step of the
-    pipeline is a pass-through.
-    """
+    The paper runs Step 1 at a parameter mu far below any desk-scale delta;
+    here mu = delta."""
     A = np.asarray(A, dtype=bool)
-    g = group(p, n)
-    if epsilon is None:
-        epsilon = (delta / 120) ** (k + 2)
-    mu_paper = ((epsilon ** 2 / 8) ** (k * k * 2 ** (k * k))) / 2
-    if mu is None:
-        mu = delta
-    cells, rep = cylinder_decompose(A, mu, rho, config, p=p, n=n)
+    cells, rep = cylinder_decompose(A, delta, rho, config, p=p, n=n)
     keep = [c for c in cells if c.uniform]
-    Qs = []
-    Ls = []
-    for c in keep:
-        for M in c.factor.Q:
-            if M not in Qs:
-                Qs.append(M)
-        Ls.extend(c.factor.L)
-    L = gf.extend_to_independent([], Ls, p)
-    B = QuadraticFactor(p, n, L, Qs)
+    B = _extend(trivial_factor(p, n), [v for c in keep for v in c.factor.L],
+                [M for c in keep for M in c.factor.Q])
     B, deletions, feasible = rank_refine(B, rho)
-    # quadratic-complexity reduction step: pass-through
-    eps_hom = min(max(epsilon, 1e-9), 0.5)
     codes = B.label_codes()
-    Y = np.zeros(g.size, dtype=bool)
-    hom_mass = 0
-    for code in np.unique(codes):
-        members = np.nonzero(codes == code)[0]
-        density = np.count_nonzero(A[members]) / len(members)
-        if density > 0.5:
-            Y[members] = True
-        if density <= eps_hom or density >= 1 - eps_hom:
-            hom_mass += len(members)
+    Y = (2 * np.bincount(codes, weights=A) > np.bincount(codes))[codes]
     report = {
         "cylinder": rep,
-        "mu_used": mu,
-        "mu_paper": mu_paper,
-        "epsilon": epsilon,
         "complexity": B.complexity(),
         "rank": B.rank(),
         "rank_feasible": feasible,
         "deletions_in_refine": deletions,
         "sym_diff": int(np.count_nonzero(A ^ Y)),
-        "sym_diff_frac": float(np.count_nonzero(A ^ Y)) / g.size,
-        "homogeneous_mass_frac": hom_mass / g.size,
     }
     return B, Y, report
-
-
-def cell_chain_record(cell: CylinderCell) -> ChainRecord:
-    return ChainRecord(sigma=tuple(cell.sigma), factors=list(cell.chain))
 
 
 def validate_cells(cells, rho, N: int) -> None:
@@ -488,5 +454,5 @@ def validate_cells(cells, rho, N: int) -> None:
         assert disc(c.sigma) >= 0
         if c.factor.q > 0:
             assert c.factor.rank() >= rho(c.factor.l + c.factor.q)
-        assert validate_chain(rho, cell_chain_record(c)), "invalid chain"
+        assert validate_chain(rho, c.sigma, c.chain), "invalid chain"
     assert np.all(seen == 1), "cells do not partition G"

@@ -27,72 +27,44 @@ from .regularity import pythagoras_check
 
 # -- helpers -----------------------------------------------------------------
 
-def span_set(vectors, p, n):
-    span = {(0,) * n}
-    for v in vectors:
-        v = tuple(v)
-        if v in span:
-            continue
-        span = {tuple((a + c * b) % p for a, b in zip(s, v))
-                for s in span for c in range(p)}
-    return span
+def _images(B: QuadraticFactor, x: int) -> list:
+    """M_j x for every matrix of B, as row tuples."""
+    xd = B.grp.decode(x)
+    return [gf.mat_mul_vec(M, xd, B.p) for M in B.Q]
 
 
-def count_bad_w_tuples(B: QuadraticFactor, tuples: int = 4) -> int:
-    """Number of (w_1..w_t) in G^t with L u {M w_i} not independent.
-    DFS over w's with the current span as memo key."""
-    g = B.grp
-    p, n = B.p, B.n
-    base = frozenset(span_set(B.L, p, n))
-    mats = [np.array(M, dtype=np.int64) for M in B.Q]
-    E = g.coords
-    mw = [((E @ M.T) % p) for M in mats]  # mw[i][w] = M_i w (decoded rows)
+def count_bad_w_tuples(B: QuadraticFactor) -> int:
+    """Number of (w_1..w_4) in G^4 with L u {M w_i} not independent.
+    DFS over w's with the echelon basis of the current span as memo key."""
+    p, N = B.p, B.grp.size
+    images = [_images(B, w) for w in range(N)]
     memo = {}
 
-    def good(span, depth):
-        key = (span, depth)
-        if key in memo:
-            return memo[key]
+    def good(ech, depth):
         if depth == 0:
-            memo[key] = 1
             return 1
-        total = 0
-        for w in range(g.size):
-            s = set(span)
-            ok = True
-            for i in range(len(mats)):
-                v = tuple(int(c) for c in mw[i][w])
-                if v in s:
-                    ok = False
-                    break
-                s = {tuple((a + c * b) % p for a, b in zip(t, v))
-                     for t in s for c in range(p)}
-            if ok:
-                total += good(frozenset(s), depth - 1)
-        memo[key] = total
-        return total
+        key = (ech, depth)
+        if key not in memo:
+            total = 0
+            for rows in images:
+                ext, rank = gf.rref(list(ech) + rows, p)
+                if rank == len(ech) + len(rows):
+                    total += good(tuple(ext), depth - 1)
+            memo[key] = total
+        return memo[key]
 
-    return g.size ** tuples - good(base, tuples)
+    return N ** 4 - good(tuple(gf.row_space_basis(B.L, p)), 4)
 
 
-def count_bad_x(B: QuadraticFactor, S) -> int:
-    """|{x : L u {Mw: w in S} u {Mx} not independent}| by brute force."""
-    p, n = B.p, B.n
-    g = B.grp
-    base = list(B.L)
-    for w in S:
-        wd = g.decode(w)
-        for M in B.Q:
-            base.append(gf.mat_mul_vec(M, wd, p))
-    base_rank = gf.mat_rank(base, p)
-    assert base_rank == len(base), "S does not keep the base independent"
-    bad = 0
-    for x in range(g.size):
-        xd = g.decode(x)
-        vecs = base + [gf.mat_mul_vec(M, xd, p) for M in B.Q]
-        if gf.mat_rank(vecs, p) < len(vecs):
-            bad += 1
-    return bad
+def count_bad_x(B: QuadraticFactor, S):
+    """|{x : L u {Mw: w in S} u {Mx} not independent}| by brute force;
+    None when L u {Mw: w in S} is itself dependent."""
+    base = list(B.L) + [v for w in S for v in _images(B, w)]
+    ech, rank = gf.rref(base, B.p)
+    if rank < len(base):
+        return None
+    return sum(gf.mat_rank(ech + _images(B, x), B.p) < rank + B.q
+               for x in range(B.grp.size))
 
 
 # -- checks ------------------------------------------------------------------
@@ -188,13 +160,14 @@ def check_sigma1(level):
 
 def check_psi(level):
     g = group(3, 1)
-    from collections import Counter
-    fibres = Counter()
-    for t in product(range(g.size), repeat=6):
-        fibres[localnorms.psi_map(g, *t)] += 1
-    if set(fibres.values()) != {g.size ** 2}:
+    N = g.size
+    w, ha, hb, hc = localnorms.psi_map(g, *np.indices((N,) * 6))
+    fibres = np.bincount((((w * N + ha) * N + hb) * N + hc).ravel(),
+                         minlength=N ** 4)
+    hit = fibres[fibres > 0]
+    if set(hit.tolist()) != {N ** 2}:
         return {"ok": False, "detail": "fibre sizes off"}
-    if len(fibres) != g.size ** 4:
+    if hit.size != N ** 4:
         return {"ok": False, "detail": "psi not surjective"}
     return {"ok": True}
 
@@ -252,18 +225,10 @@ def check_badcount1(level):
         B = random_factor(3, n, 1, 1, rng)
         r = B.rank()
         for k in (0, 1):
-            if k == 0:
-                S = []
-            else:
-                S = [int(rng.integers(0, B.grp.size))]
-                base = list(B.L)
-                for w in S:
-                    wd = B.grp.decode(w)
-                    for M in B.Q:
-                        base.append(gf.mat_mul_vec(M, wd, B.p))
-                if gf.mat_rank(base, B.p) < len(base):
-                    continue
+            S = [int(rng.integers(0, B.grp.size))] if k else []
             bad = count_bad_x(B, S)
+            if bad is None:
+                continue
             bound = B.p ** (n + B.l + (k + 1) * B.q - r)
             if bad > bound:
                 return {"ok": False,
@@ -368,28 +333,14 @@ def write_norm_equivalence_diagnostics(path, level):
     for fi in range(2):
         B = random_factor(3, n, 1, 1, rng)
         f = rng.uniform(-1, 1, B.grp.size)
-        count = 0
-        for d in all_local_labels(B):
-            if count >= 6:
-                break
-            e = sigma_label(B, d)
-            rep = localnorms.norm_equivalence_report(f, B, e, d)
-            if rep["degenerate"]:
-                continue
-            count += 1
-            rows.append({
-                "factor": fi, "rank": rep["rank"], "label": str(e),
-                "atom_size": rep["atom_size"],
-                "omega_count": rep["omega_count"],
-                "omega_predicted": rep["omega_predicted"],
-                "normP8": rep["p8"], "normTW8": rep["tw8"],
-                "diff": rep["diff"],
-            })
+        rows += [{"factor": fi, **rep}
+                 for rep in localnorms.norm_equivalence_samples(f, B, 6)]
     with open(path, "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=["factor", "rank", "label",
                                            "atom_size", "omega_count",
                                            "omega_predicted", "normP8",
-                                           "normTW8", "diff"])
+                                           "normTW8", "diff"],
+                           extrasaction="ignore")
         w.writeheader()
         w.writerows(rows)
 

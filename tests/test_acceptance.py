@@ -337,7 +337,7 @@ def test_accept_10_cells_are_pure_and_chains_valid(planted_run):
 def test_accept_10_assemble_recovers_exactly():
     B, A = planted_n3()
     cfg = RunConfig(seed=0)
-    Bout, Y, report = assemble_main(A, 0.4, linear_growth(1), 2, cfg, p=P, n=3)
+    Bout, Y, report = assemble_main(A, 0.4, linear_growth(1), cfg, p=P, n=3)
     assert report["sym_diff"] == 0
     assert np.array_equal(Y, A)
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quadreg.chains import (ChainRecord, GrowthFunction, all_strings,
+from quadreg.chains import (GrowthFunction, all_strings,
                             corollary_chain_bound, disc, f_sigma, f_table,
                             linear_growth, ones_count, poly_growth, tau,
                             tau_closed_bound, validate_chain)
@@ -91,31 +91,26 @@ def build_sample_chain():
     B2 = QuadraticFactor(p, n, [(1, 0, 0)],
                          [np.diag([1, 1, 1]).tolist(), np.diag([1, 1, 0]).tolist()])
     B3 = rho_matrix_delete(B2, rho)
-    return rho, ChainRecord(sigma=(1, 1, -1), factors=[B0, B1, B2, B3])
+    return rho, (1, 1, -1), [B0, B1, B2, B3]
 
 
 def test_validate_chain_accepts_valid():
-    rho, rec = build_sample_chain()
-    assert validate_chain(rho, rec)
+    assert validate_chain(*build_sample_chain())
 
 
 def test_validate_chain_rejects_tampering():
-    rho, rec = build_sample_chain()
+    rho, sigma, factors = build_sample_chain()
     # wrong start
-    bad = ChainRecord(rec.sigma, [rec.factors[1]] + rec.factors[1:])
-    assert not validate_chain(rho, bad)
+    assert not validate_chain(rho, sigma, [factors[1]] + factors[1:])
     # wrong length
-    bad = ChainRecord(rec.sigma[:-1], rec.factors)
-    assert not validate_chain(rho, bad)
+    assert not validate_chain(rho, sigma[:-1], factors)
     # deletion step replaced by an unrelated factor
     wrong = QuadraticFactor(3, 3, [(0, 0, 1)], [])
-    bad = ChainRecord(rec.sigma, rec.factors[:-1] + [wrong])
-    assert not validate_chain(rho, bad)
+    assert not validate_chain(rho, sigma, factors[:-1] + [wrong])
 
 
 def test_validate_chain_empty():
-    assert validate_chain(linear_growth(1),
-                          ChainRecord((), [trivial_factor(3, 2)]))
+    assert validate_chain(linear_growth(1), (), [trivial_factor(3, 2)])
 
 
 def test_all_strings_count():

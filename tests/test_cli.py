@@ -187,7 +187,7 @@ def _write(path, obj):
                                   "usage-missing-set", "usage-delta-not-a-number",
                                   "usage-unknown-command", "vc2-kmax-zero",
                                   "vc2-kmax-negative", "decompose-oracle",
-                                  "decompose-p"])
+                                  "decompose-p", "chain-bounds-overflow"])
 def test_bad_input_exits_4(tmp_path, capsys, case):
     out = str(tmp_path / "out")
     # decompose cases: (p, members, delta)
@@ -232,8 +232,11 @@ def test_bad_input_exits_4(tmp_path, capsys, case):
     elif case in ("vc2-kmax-zero", "vc2-kmax-negative"):
         s = str(gen_set(tmp_path))
         argv = ["vc2", "--set", s, "--kmax", "0" if case.endswith("zero") else "-1"]
+    elif case == "chain-bounds-overflow":  # a values past 1e308 at length 10
+        argv = ["chain-bounds", "--rho", "poly:2,2", "--length", "10"]
     assert main(argv) == 4
-    err = capsys.readouterr().err
+    out_text, err = capsys.readouterr()
+    assert out_text == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not os.path.exists(out)
 

@@ -7,6 +7,19 @@ from quadreg import gowers
 from quadreg.gf import group
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cube_points_are_subset_sums(d):
+    g = group(3, 2)
+    rng = np.random.default_rng(d)
+    x, *hs = rng.integers(0, g.size, size=(d + 1, 50))
+    pts = gowers.cube_points(g, x, *hs)
+    assert len(pts) == 2 ** d
+    for S, pt in enumerate(pts):
+        want = g.coords[x] + sum(g.coords[h] for i, h in enumerate(hs)
+                                 if S >> i & 1)
+        assert np.array_equal(g.coords[pt], want % g.p)
+
+
 @given(st.integers(0, 10 ** 9), st.sampled_from([(3, 1), (3, 2), (5, 1)]))
 @settings(max_examples=40, deadline=None)
 def test_u2_fourier_matches_naive(seed, pn):
@@ -79,7 +92,8 @@ def test_rewrite_sum_identity(seed, n):
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
 
-@pytest.mark.parametrize("fn,n", [(gowers.u3_eighth_naive, 4),
+@pytest.mark.parametrize("fn,n", [(gowers.u2_fourth_naive, 5),
+                                  (gowers.u3_eighth_naive, 4),
                                   (gowers.rewrite_sum_g6, 3)])
 def test_naive_sums_refuse_large_groups(fn, n):
     g = group(3, n)

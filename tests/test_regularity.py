@@ -148,11 +148,21 @@ def test_assemble_main_recovers_planted():
     g = group(3, 2)
     A = planted_set()
     cfg = RunConfig(seed=0)
-    B, Y, report = assemble_main(A, 0.4, linear_growth(1), 2, cfg, p=3, n=2)
+    B, Y, report = assemble_main(A, 0.4, linear_growth(1), cfg, p=3, n=2)
     assert report["sym_diff"] == 0
     assert np.array_equal(Y, A)
-    assert report["mu_used"] == 0.4
-    assert 0 <= report["mu_paper"] < 1e-30  # theory value underflows float
+
+
+# seeds whose common factor has atoms of several points, so Y != A
+@pytest.mark.parametrize("seed", [2, 4, 5])
+def test_assemble_main_takes_atom_majority(seed):
+    A = generate_set("random", {}, seed, 3, 3)
+    B, Y, report = assemble_main(A, 0.3, linear_growth(1), RunConfig(seed=0),
+                                 p=3, n=3)
+    for part in atom_parts(B):
+        majority = 2 * np.count_nonzero(A[part]) > len(part)
+        assert np.all(Y[part] == majority)
+    assert report["sym_diff"] == np.count_nonzero(A ^ Y) > 0
 
 
 def test_uniform_set_stops_immediately():
