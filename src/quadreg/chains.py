@@ -18,38 +18,38 @@ from .factors import QuadraticFactor, nontrivial_combinations
 
 @dataclass(frozen=True)
 class GrowthFunction:
-    """rho(x) = K*x (kind 'linear') or C*x^d (kind 'poly')."""
-    kind: str
+    """rho(x) = C*x^d; `linear:K` is C = K, d = 1."""
     C: Fraction
     d: int = 1
 
     def __call__(self, x):
-        if self.kind not in ("linear", "poly"):
-            raise ValueError(f"unknown growth kind {self.kind}")
         return self.C * x ** self.d
 
     def describe(self) -> str:
-        if self.kind == "linear":
-            return f"linear:{self.C}"
-        return f"poly:{self.C},{self.d}"
+        return f"linear:{self.C}" if self.d == 1 else f"poly:{self.C},{self.d}"
 
     @staticmethod
     def parse(text: str) -> "GrowthFunction":
+        """`linear:K` or `poly:C,d`, K and C rational, d >= 0; else ValueError."""
         kind, _, params = text.partition(":")
-        if kind == "linear":
-            return GrowthFunction("linear", Fraction(params))
-        if kind == "poly":
-            c, d = params.split(",")
-            return GrowthFunction("poly", Fraction(c), int(d))
-        raise ValueError(f"bad growth function syntax: {text!r}")
+        if kind not in ("linear", "poly"):
+            raise ValueError(f"bad growth function syntax: {text!r}")
+        c, d = (params, "1") if kind == "linear" else params.split(",")
+        try:
+            rho = GrowthFunction(Fraction(c), int(d))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
+        if rho.d < 0:
+            raise ValueError(f"negative degree in {text!r}")
+        return rho
 
 
 def linear_growth(K) -> GrowthFunction:
-    return GrowthFunction("linear", Fraction(K))
+    return GrowthFunction(Fraction(K))
 
 
 def poly_growth(C, d) -> GrowthFunction:
-    return GrowthFunction("poly", Fraction(C), int(d))
+    return GrowthFunction(Fraction(C), int(d))
 
 
 # -- binary strings ----------------------------------------------------------

@@ -19,7 +19,6 @@ import sys
 
 from . import io, localnorms, vc2 as vc2mod
 from .chains import GrowthFunction, f_table, tau
-from .factors import factor_from_dict
 from .generators import generate_set
 from .gf import group
 from .regularity import (BudgetExceeded, OracleFailure, RunConfig,
@@ -59,12 +58,9 @@ def cmd_decompose(args) -> int:
         w = csv.DictWriter(fh, fieldnames=fields)
         w.writeheader()
         for t in report["trace"]:
-            w.writerow({"step": t.step, "kind": t.kind,
-                        "index_before": float(t.index_before),
-                        "index_after": float(t.index_after),
-                        "nonuniform_mass": t.nonuniform_mass,
-                        "deletions": t.deletions,
-                        "witnesses": t.witnesses})
+            w.writerow({k: getattr(t, k) for k in fields}
+                       | {"index_before": float(t.index_before),
+                          "index_after": float(t.index_after)})
     return 0
 
 
@@ -119,15 +115,13 @@ def cmd_chain_bounds(args) -> int:
 
 def cmd_norms(args) -> int:
     with io.input_errors(args.factor):
-        B = factor_from_dict(io.load_json(args.factor))
+        B = io.factor_from_dict(io.load_json(args.factor))
         B.rank()  # the report needs it; past MAX_Q_FOR_RANK this refuses
     f, p, n = io.function_from_dict(io.load_json(args.function))
     if (p, n) != (B.p, B.n):
         raise io.InputError("function and factor live on different groups")
     with open(args.out, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=["label", "atom_size", "omega_count",
-                                           "omega_predicted", "normP8",
-                                           "normTW8", "diff"],
+        w = csv.DictWriter(fh, fieldnames=localnorms.REPORT_COLUMNS,
                            extrasaction="ignore")
         w.writeheader()
         for e in B.all_labels():
@@ -143,6 +137,8 @@ def cmd_norms(args) -> int:
 def cmd_gen(args) -> int:
     with io.input_errors(f"gen --kind {args.kind}"):
         params = json.loads(args.params) if args.params else {}
+        if not isinstance(params, dict):
+            raise io.InputError("gen --params must be a JSON object")
         A = generate_set(args.kind, params, args.seed, args.p, args.n)
     io.save_json(args.out, io.set_to_dict(A, args.p, args.n))
     return 0

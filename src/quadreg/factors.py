@@ -28,16 +28,13 @@ class QuadraticFactor:
         self.grp = group(p, n)
         self.L = tuple(tuple(int(c) % p for c in v) for v in L)
         self.Q = tuple(tuple(tuple(int(c) % p for c in row) for row in M) for M in Q)
-        for v in self.L:
-            if len(v) != n:
-                raise ValueError("linear generator of wrong length")
+        if any(len(v) != n for v in self.L):
+            raise ValueError("linear generator of wrong length")
         for M in self.Q:
             if len(M) != n or any(len(row) != n for row in M):
                 raise ValueError("matrix of wrong shape")
-            for i in range(n):
-                for j in range(n):
-                    if M[i][j] != M[j][i]:
-                        raise ValueError("matrix not symmetric")
+            if tuple(zip(*M)) != M:
+                raise ValueError("matrix not symmetric")
         if not gf.is_independent(self.L, p):
             raise ValueError("linear part not independent")
         if len(set(self.Q)) != len(self.Q):
@@ -86,18 +83,12 @@ class QuadraticFactor:
         """For every encoded element, its label encoded as an int:
         little-endian base-p digits (a_1..a_l, b_1..b_q)."""
         if self._label_codes is None:
-            g = self.grp
-            E = g.coords  # (N, n)
-            parts = []
-            for r in self.L:
-                parts.append((E @ np.array(r, dtype=np.int64)) % self.p)
-            for M in self.Q:
-                Mv = np.array(M, dtype=np.int64)
-                parts.append(np.einsum("xi,ij,xj->x", E, Mv, E) % self.p)
-            code = np.zeros(g.size, dtype=np.int64)
-            for k, digit in enumerate(parts):
-                code += digit * self.p ** k
-            self._label_codes = code
+            E, p = self.grp.coords, self.p  # E: (N, n)
+            digits = [E @ np.array(r, dtype=np.int64) % p for r in self.L]
+            digits += [np.einsum("xi,ij,xj->x", E, np.array(M, dtype=np.int64), E) % p
+                       for M in self.Q]
+            self._label_codes = sum((digit * p ** k for k, digit in enumerate(digits)),
+                                    np.zeros(self.grp.size, dtype=np.int64))
         return self._label_codes
 
     def label_to_code(self, label) -> int:
@@ -105,21 +96,19 @@ class QuadraticFactor:
         digits = list(a) + list(b)
         return sum((d % self.p) * self.p ** k for k, d in enumerate(digits))
 
+    def _digits(self, code: int, count: int) -> tuple:
+        return tuple(code // self.p ** k % self.p for k in range(count))
+
     def code_to_label(self, code: int):
-        digits = []
-        c = code
-        for _ in range(self.l + self.q):
-            digits.append(c % self.p)
-            c //= self.p
-        return (tuple(digits[: self.l]), tuple(digits[self.l:]))
+        digits = self._digits(code, self.l + self.q)
+        return (digits[: self.l], digits[self.l:])
 
     def all_labels(self):
-        for code in range(self.p ** (self.l + self.q)):
-            yield self.code_to_label(code)
+        return map(self.code_to_label, range(self.p ** (self.l + self.q)))
 
     def enumerate_atom(self, label) -> np.ndarray:
         """Encoded elements of atom B(label); may be empty."""
-        return np.nonzero(self.label_codes() == self.label_to_code(label))[0]
+        return np.nonzero(self.atom_indicator(label))[0]
 
     def atom_indicator(self, label) -> np.ndarray:
         return (self.label_codes() == self.label_to_code(label))
@@ -127,6 +116,10 @@ class QuadraticFactor:
     def pair_code(self, values) -> int:
         """The code of a pair value b in F_p^q, digits as in label_to_code."""
         return self.label_to_code(((), values))
+
+    def code_to_pair(self, code: int) -> tuple:
+        """The pair value b in F_p^q that pair_code encodes as `code`."""
+        return self._digits(code, self.q)
 
     def bq_tables(self) -> np.ndarray:
         """Shape (N, N): the pair code of beta_Q(x, y) for all encoded pairs,
@@ -157,9 +150,10 @@ def trivial_factor(p, n) -> QuadraticFactor:
 def nontrivial_combinations(B: QuadraticFactor):
     """(coeffs, U, rank of U) for every nontrivial combination
     U = sum_j coeffs_j M_j of the matrices, coeffs in lexicographic order."""
+    Q = np.array(B.Q, dtype=np.int64)
     for coeffs in product(range(B.p), repeat=B.q):
         if any(coeffs):
-            U = combine_matrices(B.Q, coeffs, B.p)
+            U = combine_matrices(Q, coeffs, B.p)
             yield coeffs, U, gf.mat_rank(U, B.p)
 
 
@@ -171,15 +165,10 @@ def factor_rank(B: QuadraticFactor) -> int:
 
 
 def combine_matrices(Q, coeffs, p):
-    n = len(Q[0])
-    U = [[0] * n for _ in range(n)]
-    for c, M in zip(coeffs, Q):
-        if c == 0:
-            continue
-        for i in range(n):
-            for j in range(n):
-                U[i][j] = (U[i][j] + c * M[i][j]) % p
-    return tuple(tuple(row) for row in U)
+    """sum_j coeffs_j Q_j mod p, as row tuples."""
+    U = np.tensordot(np.asarray(coeffs, dtype=np.int64),
+                     np.asarray(Q, dtype=np.int64), axes=1) % p
+    return tuple(map(tuple, U.tolist()))
 
 
 def find_low_rank_combination(B: QuadraticFactor, rho):
@@ -221,34 +210,9 @@ def rank_refine(B: QuadraticFactor, rho):
 
 
 def refines(B1: QuadraticFactor, B2: QuadraticFactor) -> bool:
-    """True iff every atom of B1 sits inside a single atom of B2."""
+    """True iff every atom of B1 sits inside a single atom of B2: each B1
+    label code meets exactly one B2 label code."""
     assert (B1.p, B1.n) == (B2.p, B2.n)
-    c1 = B1.label_codes()
-    c2 = B2.label_codes()
-    seen = {}
-    for a, b in zip(c1.tolist(), c2.tolist()):
-        if a in seen:
-            if seen[a] != b:
-                return False
-        else:
-            seen[a] = b
-    return True
-
-
-# -- serialization -----------------------------------------------------------
-
-def factor_to_dict(B: QuadraticFactor) -> dict:
-    return {
-        "p": B.p,
-        "n": B.n,
-        "L": [list(v) for v in B.L],
-        "Q": [[list(row) for row in M] for M in B.Q],
-    }
-
-
-def factor_from_dict(d: dict) -> QuadraticFactor:
-    return QuadraticFactor(d["p"], d["n"], d.get("L", []), d.get("Q", []))
-
-
-def label_to_dict(label) -> dict:
-    return {"a": list(label[0]), "b": list(label[1])}
+    c1, c2 = B1.label_codes(), B2.label_codes()
+    pairs = np.unique(np.stack([c1, c2], axis=1), axis=0)
+    return len(pairs) == len(np.unique(c1))

@@ -1,4 +1,4 @@
-"""Flat-file JSON formats: sets, functions, factors, partitions.
+"""Flat-file JSON formats: sets, functions, factors, labels, partitions.
 All output is canonically ordered (sorted keys) so diffs are meaningful."""
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .factors import factor_to_dict, label_to_dict
+from .factors import QuadraticFactor
 from .gf import group
 
 
@@ -78,6 +78,8 @@ def function_from_dict(d: dict):
             v = np.asarray(d["values"], dtype=np.float64)
             if v.shape != (g.size,):
                 raise InputError("dense values of wrong length")
+            if not np.isfinite(v).all():
+                raise InputError("dense values must be finite")
             return v, d["p"], d["n"]
         raise InputError(f"unknown function kind {d['kind']!r}")
 
@@ -85,6 +87,21 @@ def function_from_dict(d: dict):
 def set_from_dict(d: dict):
     v, p, n = function_from_dict(d)
     return v.astype(bool), p, n
+
+
+# -- factors / labels --------------------------------------------------------
+
+def factor_to_dict(B: QuadraticFactor) -> dict:
+    return {"p": B.p, "n": B.n, "L": [list(v) for v in B.L],
+            "Q": [[list(row) for row in M] for M in B.Q]}
+
+
+def factor_from_dict(d: dict) -> QuadraticFactor:
+    return QuadraticFactor(d["p"], d["n"], d.get("L", []), d.get("Q", []))
+
+
+def label_to_dict(label) -> dict:
+    return {"a": list(label[0]), "b": list(label[1])}
 
 
 # -- partitions --------------------------------------------------------------

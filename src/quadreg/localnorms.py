@@ -8,7 +8,7 @@ relating them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import islice, product, starmap
 
 import numpy as np
 
@@ -40,15 +40,10 @@ def trivial_local_label(B: QuadraticFactor) -> LocalLabelTuple:
 
 
 def all_local_labels(B: QuadraticFactor):
+    """Every local label, in lexicographic order of (d_a, ..., d_bc)."""
     labels = list(B.all_labels())
     pairs = list(product(range(B.p), repeat=B.q))
-    for d_a in labels:
-        for d_b in labels:
-            for d_c in labels:
-                for d_ab in pairs:
-                    for d_ac in pairs:
-                        for d_bc in pairs:
-                            yield LocalLabelTuple(d_a, d_b, d_c, d_ab, d_ac, d_bc)
+    return starmap(LocalLabelTuple, product(*[labels] * 3, *[pairs] * 3))
 
 
 def sigma_label(B: QuadraticFactor, d: LocalLabelTuple):
@@ -85,19 +80,20 @@ def omega_member_constraints_bulk(B, e, X, H1, H2, H3) -> np.ndarray:
     lin0 = _linear_zero_mask(B)
     Hs = [np.asarray(H) for H in (H1, H2, H3)]
     for H in Hs:
-        ok &= lin0[H] & (bq[add[add[X, X], H], H] == 0)
+        ok &= lin0[H] & _h_constraint(add, bq, X, H)
     for a, b in ((0, 1), (0, 2), (1, 2)):
         ok &= bq[Hs[a], Hs[b]] == 0
     return ok
 
 
 def _linear_zero_mask(B: QuadraticFactor) -> np.ndarray:
-    """Indicator over encoded elements of membership in L(0)."""
-    g = B.grp
-    mask = np.ones(g.size, dtype=bool)
-    for r in B.L:
-        mask &= (g.coords @ np.array(r, dtype=np.int64)) % B.p == 0
-    return mask
+    """Membership in L(0): the low l digits of the label code are zero."""
+    return B.label_codes() % B.p ** B.l == 0
+
+
+def _h_constraint(add, bq, X, H) -> np.ndarray:
+    """2 beta_Q(x,h) + beta_Q(h,h) = 0, i.e. beta_Q(2x+h, h) = 0."""
+    return bq[add[add[X, X], H], H] == 0
 
 
 def _omega_h_sets(B: QuadraticFactor, e):
@@ -106,7 +102,7 @@ def _omega_h_sets(B: QuadraticFactor, e):
     add, bq = B.grp.add, B.bq_tables()
     lin0 = np.nonzero(_linear_zero_mask(B))[0]
     for x in B.enumerate_atom(e):
-        hs = lin0[bq[add[add[x, x], lin0], lin0] == 0]
+        hs = lin0[_h_constraint(add, bq, x, lin0)]
         yield int(x), hs, bq[np.ix_(hs, hs)] == 0
 
 
@@ -128,14 +124,11 @@ def omega_members(B: QuadraticFactor, e):
     """Explicit list of (x,h1,h2,h3) tuples; tiny instances only."""
     out = []
     for x, hs, pair_ok in _omega_h_sets(B, e):
-        m = len(hs)
-        for i in range(m):
-            for j in range(m):
-                if not pair_ok[i, j]:
-                    continue
-                for k in range(m):
-                    if pair_ok[i, k] and pair_ok[j, k]:
-                        out.append((x, int(hs[i]), int(hs[j]), int(hs[k])))
+        # [h1, h2, h3]: all three pairs orthogonal
+        i, j, k = np.nonzero(pair_ok[:, :, None] & pair_ok[:, None, :]
+                             & pair_ok[None, :, :])
+        out.extend((x, *h) for h in zip(hs[i].tolist(), hs[j].tolist(),
+                                        hs[k].tolist()))
     return out
 
 
@@ -157,6 +150,16 @@ def norm_P_eighth(f, B: QuadraticFactor, e) -> float:
 def fibre_size(B: QuadraticFactor, d_pair) -> int:
     """|{(x,y) in G^2 : beta_Q(x,y) = d_pair}|."""
     return int(np.count_nonzero(B.bq_tables() == B.pair_code(d_pair)))
+
+
+def label_sizes(B: QuadraticFactor, d: LocalLabelTuple):
+    """([|B(d_a)|, |B(d_b)|, |B(d_c)|], [fibre sizes of d_ab, d_ac, d_bc]);
+    DegenerateLabelError when one of them is 0."""
+    sizes = [len(B.enumerate_atom(lab)) for lab in (d.d_a, d.d_b, d.d_c)]
+    fibres = [fibre_size(B, dp) for dp in (d.d_ab, d.d_ac, d.d_bc)]
+    if 0 in sizes or 0 in fibres:
+        raise DegenerateLabelError(f"empty atom or fibre for {d}")
+    return sizes, fibres
 
 
 def _k222_slices(B: QuadraticFactor, d: LocalLabelTuple):
@@ -230,10 +233,7 @@ def norm_TW_eighth(f, B: QuadraticFactor, d: LocalLabelTuple) -> float:
 
         |G|^24 * (prod atom sizes)^-2 * (prod fibre sizes)^-4 * k222_sum.
     """
-    sizes = [len(B.enumerate_atom(lab)) for lab in (d.d_a, d.d_b, d.d_c)]
-    fibres = [fibre_size(B, dp) for dp in (d.d_ab, d.d_ac, d.d_bc)]
-    if any(s == 0 for s in sizes) or any(s == 0 for s in fibres):
-        raise DegenerateLabelError(f"empty atom or fibre for {d}")
+    sizes, fibres = label_sizes(B, d)
     N = B.grp.size
     s = k222_sum(f, B, d)
     norm = float(N) ** 24
@@ -268,7 +268,7 @@ def preimage_intersection(B: QuadraticFactor, d: LocalLabelTuple, e,
         atom = B.enumerate_atom(label)
         target = B.pair_code([a + b + c for a, b, c in zip(label[1], pair, d.d_ab)])
         ok = (bq[np.ix_(others, atom)] == 0).all(axis=0)
-        ok &= bq[g.add[g.add[atom, atom], own], own] == 0
+        ok &= _h_constraint(g.add, bq, atom, own)
         ok &= bq[atom, w] == target
         return atom[ok]
 
@@ -286,18 +286,22 @@ def preimage_intersection(B: QuadraticFactor, d: LocalLabelTuple, e,
 
 # -- reporting ---------------------------------------------------------------
 
+# the norms CSV columns, each a norm_equivalence_report key
+REPORT_COLUMNS = ["label", "atom_size", "omega_count", "omega_predicted",
+                  "normP8", "normTW8", "diff"]
+
+
 def norm_equivalence_report(f, B: QuadraticFactor, e, d: LocalLabelTuple) -> dict:
-    """Both eighth powers and their difference, keyed by the norms CSV
-    columns; never asserted for nontrivial factors (the equivalence error
+    """Both eighth powers and their difference, keyed by REPORT_COLUMNS
+    and more; never asserted for nontrivial factors (the equivalence error
     depends on an unspecified rank constant)."""
     assert sigma_label(B, d) == e
     p8 = norm_P_eighth(f, B, e)
+    degenerate = False
     try:
         tw8 = norm_TW_eighth(f, B, d)
-        degenerate = False
     except DegenerateLabelError:
-        tw8 = float("nan")
-        degenerate = True
+        tw8, degenerate = float("nan"), True
     return {
         "label": str(e),
         "atom_size": int(len(B.enumerate_atom(e))),

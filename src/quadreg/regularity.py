@@ -109,17 +109,11 @@ class InverseWitness:
     correlation: float
 
 
-def _monomial_design(grp: Group):
-    """Columns: x_i x_j (i <= j), values mod p per element."""
-    E = grp.coords
-    p, n = grp.p, grp.n
-    cols = []
-    pairs = []
-    for i in range(n):
-        for j in range(i, n):
-            cols.append((E[:, i] * E[:, j]) % p)
-            pairs.append((i, j))
-    return np.stack(cols, axis=1), pairs
+def _monomial_design(grp: Group) -> np.ndarray:
+    """Columns: x_i x_j for (i, j) in np.triu_indices(n) order, values mod
+    p per element."""
+    i, j = np.triu_indices(grp.n)
+    return grp.coords[:, i] * grp.coords[:, j] % grp.p
 
 
 def poly_values(grp: Group, M, r, c) -> np.ndarray:
@@ -140,18 +134,16 @@ def correlation(f, grp: Group, members: np.ndarray, M, r, c=0) -> float:
     return float(abs((v[members] * w).sum()) / len(members))
 
 
-def _coeffs_to_matrix(grp: Group, quad_coeffs, pairs):
-    """Monomial coefficients for x_i x_j (i<=j) -> symmetric M with
-    x^T M x equal to that polynomial (off-diagonals halved; p odd)."""
-    p, n = grp.p, grp.n
-    inv2 = pow(2, -1, p)
-    M = [[0] * n for _ in range(n)]
-    for coeff, (i, j) in zip(quad_coeffs, pairs):
-        if i == j:
-            M[i][i] = coeff % p
-        else:
-            M[i][j] = M[j][i] = (coeff * inv2) % p
-    return tuple(tuple(row) for row in M)
+def _coeffs_to_matrix(grp: Group, quad_coeffs):
+    """Monomial coefficients for x_i x_j in _monomial_design order ->
+    symmetric M with x^T M x equal to that polynomial (off-diagonals
+    halved; p odd)."""
+    i, j = np.triu_indices(grp.n)
+    c = np.asarray(quad_coeffs, dtype=np.int64)
+    c = np.where(i == j, c, c * pow(2, -1, grp.p)) % grp.p
+    M = np.zeros((grp.n, grp.n), dtype=np.int64)
+    M[i, j] = M[j, i] = c
+    return tuple(map(tuple, M.tolist()))
 
 
 def _best_linear_part(f_masked: np.ndarray, grp: Group, quad_vals: np.ndarray):
@@ -182,7 +174,7 @@ def inverse_oracle(f, grp: Group, members: np.ndarray, delta: float,
     mask = np.zeros(grp.size, dtype=np.float64)
     mask[members] = 1.0
     fm = v * mask
-    design, pairs = _monomial_design(grp)
+    design = _monomial_design(grp)
     nquad = n * (n + 1) // 2
     total_polys = p ** (nquad + n + 1)
     best = None
@@ -194,7 +186,7 @@ def inverse_oracle(f, grp: Group, members: np.ndarray, delta: float,
         r, mag = _best_linear_part(fm, grp, quad_vals)
         corr = mag / len(members)
         if best is None or corr > best[0] + 1e-15:
-            M = _coeffs_to_matrix(grp, quad_coeffs, pairs)
+            M = _coeffs_to_matrix(grp, quad_coeffs)
             best = (corr, M, r)
 
     if total_polys <= EXHAUSTIVE_CAP:

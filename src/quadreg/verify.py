@@ -7,6 +7,7 @@ diffs) next to the machine-readable pass/fail report.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from fractions import Fraction
 from itertools import islice, product
@@ -19,8 +20,9 @@ from .chains import (corollary_chain_bound, disc, f_table, linear_growth,
 from .factors import QuadraticFactor
 from .generators import random_factor
 from .gf import group
-from .localnorms import (LocalLabelTuple, all_local_labels, fibre_size,
-                         k111_members, omega_count, omega_predicted,
+from .localnorms import (DegenerateLabelError, LocalLabelTuple,
+                         all_local_labels, fibre_size, k111_members,
+                         label_sizes, omega_count, omega_predicted,
                          sigma_label)
 from .regularity import pythagoras_check
 
@@ -144,10 +146,8 @@ def check_sigma1(level):
     labels, which = np.unique(rows, axis=0, return_inverse=True)
 
     def local_label(row):
-        atoms = [B.code_to_label(int(c)) for c in row[:3]]
-        pairs = [tuple(int(c) // B.p ** j % B.p for j in range(B.q))
-                 for c in row[3:]]
-        return LocalLabelTuple(*atoms, *pairs)
+        return LocalLabelTuple(*map(B.code_to_label, row[:3].tolist()),
+                               *map(B.code_to_pair, row[3:].tolist()))
 
     want = np.array([B.label_to_code(sigma_label(B, local_label(row)))
                      for row in labels])
@@ -238,6 +238,10 @@ def check_badcount1(level):
 
 
 def check_omegagood(level):
+    """count_bad_w_tuples(B) <= 14 p^(4n+l+4q-r) on random factors.  It
+    cannot fail at the sizes run here (n = 2 or 3, l, q <= 1): the count is
+    at most p^(4n), and at p = 3 the bound is above that unless
+    r >= l+4q+3, which needs n >= 7 at q = 1."""
     rng = np.random.default_rng(31)
     n = 3 if level == "full" else 2
     for _ in range(6):
@@ -303,16 +307,12 @@ def write_size_diagnostics(path, level):
         # weighted triple-product average vs 1 on a sample of label tuples
         N = B.grp.size
         for d in islice(all_local_labels(B), 5):
-            sizes = [len(B.enumerate_atom(lab)) for lab in (d.d_a, d.d_b, d.d_c)]
-            fibres = [fibre_size(B, x) for x in (d.d_ab, d.d_ac, d.d_bc)]
-            if 0 in sizes or 0 in fibres:
+            try:
+                sizes, fibres = label_sizes(B, d)
+            except DegenerateLabelError:
                 continue
             k111 = len(k111_members(B, d))
-            denom = 1.0
-            for s in sizes:
-                denom *= s
-            for s in fibres:
-                denom *= s
+            denom = math.prod(sizes + fibres, start=1.0)
             rows.append({
                 "factor": fi, "rank": r, "kind": "triple_product_avg",
                 "label": str(d), "observed": k111 * float(N) ** 6 / denom / N ** 3,
@@ -336,10 +336,8 @@ def write_norm_equivalence_diagnostics(path, level):
         rows += [{"factor": fi, **rep}
                  for rep in localnorms.norm_equivalence_samples(f, B, 6)]
     with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=["factor", "rank", "label",
-                                           "atom_size", "omega_count",
-                                           "omega_predicted", "normP8",
-                                           "normTW8", "diff"],
+        w = csv.DictWriter(fh, fieldnames=["factor", "rank",
+                                           *localnorms.REPORT_COLUMNS],
                            extrasaction="ignore")
         w.writeheader()
         w.writerows(rows)

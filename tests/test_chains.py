@@ -22,6 +22,17 @@ def test_growth_parse_describe():
         GrowthFunction.parse("exp:2")
 
 
+def test_growth_linear_is_poly_degree_one():
+    assert GrowthFunction.parse("linear:2") == GrowthFunction.parse("poly:2,1")
+    assert GrowthFunction.parse("poly:2,1").describe() == "linear:2"
+
+
+@pytest.mark.parametrize("text", ["linear:1/0", "poly:1/0,2", "poly:1,-1"])
+def test_growth_parse_rejects(text):
+    with pytest.raises(ValueError):
+        GrowthFunction.parse(text)
+
+
 def test_disc_and_ones():
     assert disc((1, 1, -1)) == 1
     assert ones_count((1, 1, -1)) == 2

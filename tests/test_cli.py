@@ -9,7 +9,8 @@ import pytest
 from quadreg import io, regularity
 from quadreg.chains import GrowthFunction, f_sigma, tau
 from quadreg.cli import main
-from quadreg.factors import QuadraticFactor, factor_to_dict
+from quadreg.factors import QuadraticFactor
+from quadreg.io import factor_to_dict
 from quadreg.gf import group
 
 
@@ -187,7 +188,14 @@ def _write(path, obj):
                                   "usage-missing-set", "usage-delta-not-a-number",
                                   "usage-unknown-command", "vc2-kmax-zero",
                                   "vc2-kmax-negative", "decompose-oracle",
-                                  "decompose-p", "chain-bounds-overflow"])
+                                  "decompose-p", "chain-bounds-overflow",
+                                  "gen-params-list", "gen-params-null",
+                                  "gen-params-string",
+                                  "decompose-rho-zero-denominator",
+                                  "chain-bounds-rho-zero-denominator",
+                                  "chain-bounds-rho-negative-degree",
+                                  "norms-nan-value", "norms-infinite-value",
+                                  "decompose-nan-value"])
 def test_bad_input_exits_4(tmp_path, capsys, case):
     out = str(tmp_path / "out")
     # decompose cases: (p, members, delta)
@@ -234,6 +242,27 @@ def test_bad_input_exits_4(tmp_path, capsys, case):
         argv = ["vc2", "--set", s, "--kmax", "0" if case.endswith("zero") else "-1"]
     elif case == "chain-bounds-overflow":  # a values past 1e308 at length 10
         argv = ["chain-bounds", "--rho", "poly:2,2", "--length", "10"]
+    elif case.startswith("gen-params-"):
+        params = {"list": "[1]", "null": "null", "string": '"x"'}[case[11:]]
+        argv = ["gen", "--kind", "random", "--params", params, "--p", "3",
+                "--n", "2", "--out", out]
+    elif case == "decompose-rho-zero-denominator":
+        argv = ["decompose", "--set", str(gen_set(tmp_path)), "--delta", "0.4",
+                "--rho", "linear:1/0", "--out", out]
+    elif case.startswith("chain-bounds-rho-"):  # rho(0) = 0^-1 at degree -1
+        rho = "linear:1/0" if case.endswith("denominator") else "poly:1,-1"
+        argv = ["chain-bounds", "--rho", rho, "--length", "2"]
+    elif case in ("norms-nan-value", "norms-infinite-value",
+                  "decompose-nan-value"):
+        bad = float("nan") if "nan" in case else float("inf")
+        fn = _write(tmp_path / "f.json",
+                    io.function_to_dict([0.5] * 8 + [bad], 3, 2))
+        if case.startswith("norms"):
+            factor = _write(tmp_path / "factor.json",
+                            factor_to_dict(QuadraticFactor(3, 2, [(1, 0)], [])))
+            argv = ["norms", "--factor", factor, "--function", fn, "--out", out]
+        else:
+            argv = ["decompose", "--set", fn, "--delta", "0.4", "--out", out]
     assert main(argv) == 4
     out_text, err = capsys.readouterr()
     assert out_text == ""

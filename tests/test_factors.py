@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from quadreg import gf
 from quadreg.chains import linear_growth
-from quadreg.factors import (QuadraticFactor, factor_from_dict, factor_rank,
-                             factor_to_dict, find_low_rank_combination,
-                             rank_refine, refines, rho_matrix_delete,
-                             trivial_factor)
+from quadreg.factors import (QuadraticFactor, factor_rank,
+                             find_low_rank_combination, rank_refine, refines,
+                             rho_matrix_delete, trivial_factor)
+from quadreg.io import factor_from_dict, factor_to_dict
 from quadreg.generators import random_factor
 
 from conftest import seeded_factors
@@ -76,7 +76,9 @@ def test_bq_tables_match_scalar(Q):
     assert table.shape == (g.size, g.size)
     for x in range(g.size):
         for y in range(g.size):
-            assert table[x, y] == B.pair_code(B.beta_Q(g.decode(x), g.decode(y)))
+            value = B.beta_Q(g.decode(x), g.decode(y))
+            assert table[x, y] == B.pair_code(value)
+            assert B.code_to_pair(int(table[x, y])) == value
     if B.q == 0:
         assert not table.any()
 
@@ -153,6 +155,16 @@ def test_refines_basic():
     assert refines(B, coarse_q)
     assert refines(B, trivial_factor(3, 2))
     assert not refines(coarse_l, coarse_q)
+
+
+@given(st.integers(0, 10 ** 9))
+@settings(max_examples=30, deadline=None)
+def test_refines_matches_atom_definition(seed):
+    rng = np.random.default_rng(seed)
+    B1, B2 = (random_factor(3, 2, 1, 2, rng) for _ in range(2))
+    inside = all(len(set(B2.label_codes()[B1.enumerate_atom(e)].tolist())) <= 1
+                 for e in B1.all_labels())
+    assert refines(B1, B2) == inside
 
 
 def test_serialization_roundtrip():

@@ -11,7 +11,8 @@ from quadreg.generators import random_factor
 from quadreg.gf import group
 from quadreg.localnorms import (DegenerateLabelError, LocalLabelTuple,
                                 all_local_labels, fibre_size, k111_members,
-                                k222_members, k222_sum, norm_P_eighth,
+                                k222_members, k222_sum, label_sizes,
+                                norm_P_eighth,
                                 norm_TW_eighth, omega_count, omega_members,
                                 omega_predicted, preimage_intersection,
                                 psi_map, sigma_label, trivial_local_label)
@@ -214,6 +215,21 @@ def test_degenerate_label_raises():
     d = LocalLabelTuple(zero, zero, zero, (0,), (0,), (0,))
     with pytest.raises(DegenerateLabelError):
         norm_TW_eighth(np.ones(3), B, d)
+    with pytest.raises(DegenerateLabelError):
+        label_sizes(B, d)
+    ok = LocalLabelTuple(((), (1,)), ((), (1,)), ((), (0,)), (0,), (1,), (2,))
+    assert label_sizes(B, ok) == ([2, 2, 1], [5, 2, 2])
+
+
+def test_all_local_labels_order():
+    # the verify and norms CSVs list labels in this order
+    B = QuadraticFactor(3, 2, [(1, 0)], [[[1, 0], [0, 1]]])
+    labels = list(B.all_labels())
+    pairs = [(0,), (1,), (2,)]
+    nested = [LocalLabelTuple(a, b, c, ab, ac, bc)
+              for a in labels for b in labels for c in labels
+              for ab in pairs for ac in pairs for bc in pairs]
+    assert list(all_local_labels(B)) == nested
 
 
 def test_norm_p_empty_atom_is_zero():

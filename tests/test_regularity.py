@@ -82,6 +82,16 @@ def test_poly_values_and_correlation():
     assert vals.shape == (g.size,)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_monomial_order_is_matrix_order(n):
+    # the oracle's design columns and _coeffs_to_matrix share one order
+    g = group(3, n)
+    design = regularity._monomial_design(g)
+    for c in np.random.default_rng(n).integers(0, 3, size=(5, design.shape[1])):
+        M = regularity._coeffs_to_matrix(g, c.tolist())
+        assert np.array_equal(poly_values(g, M, (0,) * n, 0), design @ c % 3)
+
+
 def test_inverse_oracle_finds_planted_witness():
     g = group(3, 2)
     A = planted_set().astype(np.float64)
