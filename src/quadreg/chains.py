@@ -30,7 +30,7 @@ class GrowthFunction:
 
     @staticmethod
     def parse(text: str) -> "GrowthFunction":
-        """`linear:K` or `poly:C,d`, K and C rational, d >= 0; else ValueError."""
+        """`linear:K` or `poly:C,d`, rationals K, C > 0, d >= 0; else ValueError."""
         kind, _, params = text.partition(":")
         if kind not in ("linear", "poly"):
             raise ValueError(f"bad growth function syntax: {text!r}")
@@ -39,8 +39,8 @@ class GrowthFunction:
             rho = GrowthFunction(Fraction(c), int(d))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {text!r}") from None
-        if rho.d < 0:
-            raise ValueError(f"negative degree in {text!r}")
+        if rho.C <= 0 or rho.d < 0:
+            raise ValueError(f"{text!r} needs C > 0 and d >= 0")
         return rho
 
 

@@ -43,6 +43,8 @@ def generate_set(kind: str, params: dict, seed: int, p: int, n: int) -> np.ndarr
     rng = np.random.default_rng(seed)
     if kind == "random":
         density = float(params.get("density", 0.5))
+        if not 0 <= density <= 1:  # NaN too
+            raise ValueError(f"density must lie in [0, 1], not {density}")
         return rng.random(g.size) < density
     if kind == "atom-union":
         B = QuadraticFactor(p, n, params.get("L", []), params.get("Q", []))

@@ -135,16 +135,12 @@ def bilinear(M, x, y, p):
 
 
 def mat_rank_bruteforce(rows, p) -> int:
-    """Oracle for tests: size of a maximal independent subset of rows,
-    checked by enumerating span sizes. Only sane for few/short rows."""
-    rows = [tuple(r) for r in rows]
-    span = {tuple([0] * len(rows[0]))} if rows else {()}
-    rank = 0
-    for r in rows:
-        if r in span:
-            continue
-        # enlarge span by r
-        span = {tuple((a + c * b) % p for a, b in zip(s, r))
-                for s in span for c in range(p)}
-        rank += 1
+    """Oracle for tests: how many rows leave the span grown so far, by
+    enumerating the span. Only sane for few/short rows."""
+    span, rank = {tuple(0 for _ in rows[0])} if rows else set(), 0
+    for r in map(tuple, rows):
+        if r not in span:
+            span = {tuple((a + c * b) % p for a, b in zip(s, r))
+                    for s in span for c in range(p)}
+            rank += 1
     return rank

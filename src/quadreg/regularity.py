@@ -93,13 +93,6 @@ def _jensen_square(A: np.ndarray, parts, refined_parts, N: int) -> Fraction:
     return (s / N) ** 2
 
 
-def pythagoras_check(A: np.ndarray, parts, refined_parts, N: int) -> Fraction:
-    diff = index(A, refined_parts, N) - index(A, parts, N)
-    rs = refinement_sum(A, parts, refined_parts, N)
-    assert diff == rs, f"index identity violated: {diff} != {rs}"
-    return diff
-
-
 # -- correlation oracle ------------------------------------------------------
 
 @dataclass

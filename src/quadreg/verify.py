@@ -1,12 +1,16 @@
-"""Verification-suite runner: every exhaustive identity check from the
-module invariants, at level "quick" (tiny instances) or "full" (adds the
-n=3 items).  Emits diagnostics CSVs (size-lemma ratios, norm-equivalence
-diffs) next to the machine-readable pass/fail report.
+"""The exact identities, one function each, and the suite that runs them.
+
+An identity takes one instance (a factor, a function, a group, a growth
+function, a partition) and returns None, or a failure detail.  The suite's
+checks run each on seeded instances at level "quick" (tiny instances) or
+"full" (adds the n=3 items), the tests on their own; the suite also emits
+diagnostics CSVs (size-lemma ratios, norm-equivalence diffs).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 from fractions import Fraction
@@ -15,8 +19,8 @@ from itertools import islice, product
 import numpy as np
 
 from . import gf, gowers, localnorms, vc2
-from .chains import (corollary_chain_bound, disc, f_table, linear_growth,
-                     ones_count, poly_growth)
+from .chains import (corollary_chain_bound, f_table, linear_growth,
+                     poly_growth, tau)
 from .factors import QuadraticFactor
 from .generators import random_factor
 from .gf import group
@@ -24,7 +28,7 @@ from .localnorms import (DegenerateLabelError, LocalLabelTuple,
                          all_local_labels, fibre_size, k111_members,
                          label_sizes, omega_count, omega_predicted,
                          sigma_label)
-from .regularity import pythagoras_check
+from .regularity import index, refinement_sum
 
 
 # -- helpers -----------------------------------------------------------------
@@ -40,106 +44,59 @@ def count_bad_w_tuples(B: QuadraticFactor) -> int:
     DFS over w's with the echelon basis of the current span as memo key."""
     p, N = B.p, B.grp.size
     images = [_images(B, w) for w in range(N)]
-    memo = {}
 
+    @functools.cache
     def good(ech, depth):
         if depth == 0:
             return 1
-        key = (ech, depth)
-        if key not in memo:
-            total = 0
-            for rows in images:
-                ext, rank = gf.rref(list(ech) + rows, p)
-                if rank == len(ech) + len(rows):
-                    total += good(tuple(ext), depth - 1)
-            memo[key] = total
-        return memo[key]
+        total = 0
+        for rows in images:
+            ext, rank = gf.rref(list(ech) + rows, p)
+            if rank == len(ech) + len(rows):
+                total += good(tuple(ext), depth - 1)
+        return total
 
     return N ** 4 - good(tuple(gf.row_space_basis(B.L, p)), 4)
 
 
-def count_bad_x(B: QuadraticFactor, S):
-    """|{x : L u {Mw: w in S} u {Mx} not independent}| by brute force;
-    None when L u {Mw: w in S} is itself dependent."""
-    base = list(B.L) + [v for w in S for v in _images(B, w)]
-    ech, rank = gf.rref(base, B.p)
-    if rank < len(base):
-        return None
-    return sum(gf.mat_rank(ech + _images(B, x), B.p) < rank + B.q
-               for x in range(B.grp.size))
+# -- identities --------------------------------------------------------------
+
+def rank_identity(rows, p):
+    """mat_rank equals the span-growth rank and the rank of the transpose."""
+    rank = gf.mat_rank(rows, p)
+    if rank != gf.mat_rank_bruteforce(rows, p):
+        return f"rank mismatch on {rows}"
+    if rank != gf.mat_rank(list(zip(*rows)), p):
+        return "rank != transpose rank"
 
 
-# -- checks ------------------------------------------------------------------
-
-def check_rank_oracle(level):
-    rng = np.random.default_rng(11)
-    for _ in range(60):
-        n = int(rng.integers(1, 5))
-        rows = rng.integers(0, 3, size=(int(rng.integers(1, 6)), n))
-        rows = [tuple(int(v) for v in r) for r in rows]
-        if gf.mat_rank(rows, 3) != gf.mat_rank_bruteforce(rows, 3):
-            return {"ok": False, "detail": f"rank mismatch on {rows}"}
-        cols = list(zip(*rows))
-        if gf.mat_rank(rows, 3) != gf.mat_rank(cols, 3):
-            return {"ok": False, "detail": "rank != transpose rank"}
-    return {"ok": True}
+def atoms_partition(B: QuadraticFactor):
+    """The atom sizes of B add up to |G|."""
+    if sum(len(B.enumerate_atom(e)) for e in B.all_labels()) != B.grp.size:
+        return f"atoms don't cover G for {B}"
 
 
-def check_atoms_partition(level):
-    rng = np.random.default_rng(5)
-    n = 3 if level == "full" else 2
-    for _ in range(10):
-        B = random_factor(3, n, 2, 1, rng)
-        sizes = sum(len(B.enumerate_atom(lab)) for lab in B.all_labels())
-        if sizes != B.grp.size:
-            return {"ok": False, "detail": f"atoms don't cover G for {B}"}
-    return {"ok": True}
+def omega_membership(B: QuadraticFactor, e, X, H1, H2, H3):
+    """Both membership tests of Omega_{B(e)} agree on every tuple."""
+    a = localnorms.omega_member_definitional_bulk(B, e, X, H1, H2, H3)
+    b = localnorms.omega_member_constraints_bulk(B, e, X, H1, H2, H3)
+    if not np.array_equal(a, b):
+        return f"disagreement for {B}, {e}"
 
 
-def check_constraints_equivalence(level):
-    rng = np.random.default_rng(7)
-    for _ in range(3):
-        B = random_factor(3, 2, 2, 1, rng)
-        N = B.grp.size
-        idx = np.arange(N)
-        X, H1, H2, H3 = np.meshgrid(idx, idx, idx, idx, indexing="ij")
-        for e in B.all_labels():
-            a = localnorms.omega_member_definitional_bulk(B, e, X, H1, H2, H3)
-            b = localnorms.omega_member_constraints_bulk(B, e, X, H1, H2, H3)
-            if not np.array_equal(a, b):
-                return {"ok": False, "detail": f"disagreement for {B}, {e}"}
-    if level == "full":
-        B = random_factor(3, 4, 2, 2, rng)
-        N = B.grp.size
-        T = 10 ** 5
-        X, H1, H2, H3 = (rng.integers(0, N, size=T) for _ in range(4))
-        e = B.atom_label_of(B.grp.decode(int(rng.integers(0, N))))
-        a = localnorms.omega_member_definitional_bulk(B, e, X, H1, H2, H3)
-        b = localnorms.omega_member_constraints_bulk(B, e, X, H1, H2, H3)
-        if not np.array_equal(a, b):
-            return {"ok": False, "detail": "random disagreement at n=4"}
-    return {"ok": True}
+def omega_identity(B: QuadraticFactor):
+    """omega_count(B, e) = the (int) cube sum of 1_{B(e)}, every label e."""
+    for e in B.all_labels():
+        cube_sum = gowers.u3_eighth_naive(B.atom_indicator(e), B.grp)
+        if not isinstance(cube_sum, int) or omega_count(B, e) != cube_sum:
+            return f"omega mismatch {B} {e}"
 
 
-def check_omega_identity(level):
-    rng = np.random.default_rng(13)
-    n = 3 if level == "full" else 2
-    for _ in range(5):
-        B = random_factor(3, n, 1, 1, rng)
-        for e in B.all_labels():
-            ind = B.atom_indicator(e).astype(np.int64)
-            if omega_count(B, e) != gowers.u3_eighth_naive(ind, B.grp):
-                return {"ok": False, "detail": f"omega mismatch {B} {e}"}
-    return {"ok": True}
-
-
-def check_sigma1(level):
+def sigma_label_sum(B: QuadraticFactor):
     """x+y+z lies in the atom sigma_label(d) for every triple (x, y, z) in
     G^3, d its local label: the atom labels of x, y, z and the pair values
     beta_Q(x,y), beta_Q(x,z), beta_Q(y,z).  Triples are grouped by label,
     so sigma_label runs once per label that occurs."""
-    rng = np.random.default_rng(17)
-    B = random_factor(3, 2, 1, 1, rng)
     g, lc, bq = B.grp, B.label_codes(), B.bq_tables()
     x, y, z = np.indices((g.size,) * 3).reshape(3, -1)
     rows = np.stack([lc[x], lc[y], lc[z], bq[x, y], bq[x, z], bq[y, z]], axis=1)
@@ -153,125 +110,216 @@ def check_sigma1(level):
                      for row in labels])
     bad = np.flatnonzero(want[which.reshape(-1)] != lc[g.add[g.add[x, y], z]])
     if bad.size:
-        d = local_label(rows[bad[0]])
-        return {"ok": False, "detail": f"triple sums outside atom {d}"}
-    return {"ok": True}
+        return f"triple sums outside atom {local_label(rows[bad[0]])}"
 
 
-def check_psi(level):
-    g = group(3, 1)
+def psi_fibres(g):
+    """psi_map takes G^6 onto G^4 with every fibre of size p^(2n)."""
     N = g.size
     w, ha, hb, hc = localnorms.psi_map(g, *np.indices((N,) * 6))
     fibres = np.bincount((((w * N + ha) * N + hb) * N + hc).ravel(),
                          minlength=N ** 4)
-    hit = fibres[fibres > 0]
-    if set(hit.tolist()) != {N ** 2}:
-        return {"ok": False, "detail": "fibre sizes off"}
-    if hit.size != N ** 4:
-        return {"ok": False, "detail": "psi not surjective"}
+    if np.any(fibres != N ** 2):  # an empty fibre makes another one larger
+        return "fibre sizes off"
+
+
+def rewrite_identity(f, g):
+    """rewrite_sum_g6(f) = |G|^2 u3_eighth(f), to 1e-9 relative."""
+    lhs = gowers.u3_eighth_naive(f, g)
+    rhs = gowers.rewrite_sum_g6(f, g) / g.size ** 2
+    if abs(lhs - rhs) > 1e-9 * max(1.0, abs(lhs)):
+        return f"rewrite identity off at n={g.n}"
+
+
+# (rho, C, d) with rho(x) <= C x^d: the growth functions of the chain bounds
+CHAIN_RHOS = [(linear_growth(1), Fraction(2), 1), (linear_growth(2), Fraction(2), 1),
+              (poly_growth(1, 2), Fraction(2), 2), (poly_growth(3, 2), Fraction(3), 2)]
+
+
+def chain_bounds(rho, C, d: int, length: int):
+    """f_sigma(s) = (a, b) has b = 2k - m and a <= the corollary's l-bound
+    for every string s of length m <= `length` with k ones and disc >= 0;
+    if every prefix of s has disc >= 0 (the string of a chain), also
+    0 <= a <= tau_{m-k}(k, k) <= that l-bound.  Bounds: once per (m, k)."""
+    bounds = {}  # (m, k) -> (l-bound, tau_{m-k}(k, k))
+    walk = {(): (0, True)}  # s -> (disc(s), every prefix has disc >= 0)
+    for s, (a, b) in f_table(rho, length).items():
+        if not s:
+            continue
+        excess, chain = walk[s[:-1]]
+        excess += s[-1]  # disc(s) = 2k - m
+        walk[s] = excess, chain and excess >= 0
+        if excess < 0:
+            continue
+        m, k = len(s), (len(s) + excess) // 2
+        if (m, k) not in bounds:
+            bounds[m, k] = (corollary_chain_bound(C, d, m, k)[0],
+                            tau(rho, m - k, k, k))
+        lbound, t = bounds[m, k]
+        if not (0 <= a <= t <= lbound if chain else a <= lbound) or b != excess:
+            return f"chain bound {s}"
+
+
+def vc2_baselines(g):
+    """The empty set and the whole group have VC2 dimension 0, unsaturated."""
+    if any(vc2.vc2_dim(np.full(g.size, full), g) != (0, False)
+           for full in (False, True)):
+        return "empty/full baseline broken"
+
+
+def vc2_translation(A, g, t: int):
+    """A and A + t have the same VC and VC2 dimensions (k <= 2)."""
+    shifted = A[g.add[g.neg[t], :]]
+    if (vc2.vc2_dim(A, g, 2) != vc2.vc2_dim(shifted, g, 2)
+            or vc2.vc_dim(A, g, 2) != vc2.vc_dim(shifted, g, 2)):
+        return "translation variance"
+
+
+def badcount1_bound(B: QuadraticFactor, S):
+    """At most p^(n+l+(|S|+1)q-r) x make L u {Mw : w in S} u {Mx} dependent,
+    by brute force (r the rank of B); vacuous if the base is dependent."""
+    base = list(B.L) + [v for w in S for v in _images(B, w)]
+    ech, rank = gf.rref(base, B.p)
+    if rank < len(base):
+        return None
+    bad = sum(gf.mat_rank(ech + _images(B, x), B.p) < rank + B.q
+              for x in range(B.grp.size))
+    bound = B.p ** (B.n + B.l + (len(S) + 1) * B.q - B.rank())
+    if bad > bound:
+        return f"badcount1 violated: {bad} > {bound}"
+
+
+def omegagood_bound(B: QuadraticFactor):
+    """count_bad_w_tuples(B) <= 14 p^(4n+l+4q-r), r the rank of B."""
+    bad = count_bad_w_tuples(B)
+    bound = 14 * B.p ** (4 * B.n + B.l + 4 * B.q - B.rank())
+    if bad > bound:
+        return f"omegagood violated: {bad} > {bound}"
+
+
+def pythagoras(A, parts, refined_parts, N: int):
+    """index(refined) - index(parts) = refinement_sum >= 0, exactly."""
+    gain = index(A, refined_parts, N) - index(A, parts, N)
+    rs = refinement_sum(A, parts, refined_parts, N)
+    if gain != rs or gain < 0:
+        return f"index identity violated: {gain} != {rs}"
+
+
+# -- checks ------------------------------------------------------------------
+
+def _first_failure(details) -> dict:
+    """A check's report on its identity results: the first failure, or ok."""
+    for detail in details:
+        if detail is not None:
+            return {"ok": False, "detail": detail}
     return {"ok": True}
+
+
+def _n(level) -> int:
+    """The group dimension of the checks that grow with the level."""
+    return 3 if level == "full" else 2
+
+
+def check_rank_oracle(level):
+    rng = np.random.default_rng(11)
+    details = []
+    for _ in range(60):
+        n = int(rng.integers(1, 5))
+        rows = rng.integers(0, 3, size=(int(rng.integers(1, 6)), n))
+        details.append(rank_identity([tuple(int(v) for v in r) for r in rows], 3))
+    return _first_failure(details)
+
+
+def check_atoms_partition(level):
+    rng = np.random.default_rng(5)
+    return _first_failure(atoms_partition(random_factor(3, _n(level), 2, 1, rng))
+                          for _ in range(10))
+
+
+def check_constraints_equivalence(level):
+    rng = np.random.default_rng(7)
+    details = []
+    for _ in range(3):
+        B = random_factor(3, 2, 2, 1, rng)
+        tuples = np.indices((B.grp.size,) * 4)
+        details += [omega_membership(B, e, *tuples) for e in B.all_labels()]
+    if level == "full":
+        B = random_factor(3, 4, 2, 2, rng)
+        tuples = [rng.integers(0, B.grp.size, size=10 ** 5) for _ in range(4)]
+        e = B.atom_label_of(B.grp.decode(int(rng.integers(0, B.grp.size))))
+        details.append(omega_membership(B, e, *tuples)
+                       and "random disagreement at n=4")
+    return _first_failure(details)
+
+
+def check_omega_identity(level):
+    rng = np.random.default_rng(13)
+    return _first_failure(omega_identity(random_factor(3, _n(level), 1, 1, rng))
+                          for _ in range(5))
+
+
+def check_sigma1(level):
+    B = random_factor(3, 2, 1, 1, np.random.default_rng(17))
+    return _first_failure([sigma_label_sum(B)])
+
+
+def check_psi(level):
+    return _first_failure([psi_fibres(group(3, 1))])
 
 
 def check_rewritenorm(level):
     rng = np.random.default_rng(19)
-    for n in (1, 2):
-        g = group(3, n)
-        for _ in range(3):
-            f = rng.uniform(-1, 1, g.size)
-            lhs = gowers.u3_eighth_naive(f, g)
-            rhs = gowers.rewrite_sum_g6(f, g) / g.size ** 2
-            if abs(lhs - rhs) > 1e-9 * max(1.0, abs(lhs)):
-                return {"ok": False, "detail": f"rewrite identity off at n={n}"}
-    return {"ok": True}
+    return _first_failure(rewrite_identity(rng.uniform(-1, 1, g.size), g)
+                          for g in (group(3, 1), group(3, 2)) for _ in range(3))
 
 
 def check_chains(level):
-    cap = 10 if level == "full" else 7
-    rhos = [(linear_growth(1), Fraction(2), 1), (linear_growth(2), Fraction(2), 1),
-            (poly_growth(1, 2), Fraction(2), 2), (poly_growth(3, 2), Fraction(3), 2)]
-    for rho, C, dd in rhos:
-        # disc(s) >= 0 means k >= m / 2 ones
-        lbound = {(m, k): corollary_chain_bound(C, dd, m, k)[0]
-                  for m in range(1, cap + 1) for k in range((m + 1) // 2, m + 1)}
-        for s, (a, b) in f_table(rho, cap).items():
-            if s and disc(s) >= 0:
-                m, k = len(s), ones_count(s)
-                if a > lbound[m, k] or b != 2 * k - m:
-                    return {"ok": False, "detail": f"chain bound {s}"}
-    return {"ok": True}
+    return _first_failure(chain_bounds(rho, C, d, 10 if level == "full" else 7)
+                          for rho, C, d in CHAIN_RHOS)
 
 
 def check_vc2_baselines(level):
     g = group(3, 2)
-    empty = np.zeros(g.size, dtype=bool)
-    full = np.ones(g.size, dtype=bool)
-    if vc2.vc2_dim(empty, g)[0] != 0 or vc2.vc2_dim(full, g)[0] != 0:
-        return {"ok": False, "detail": "empty/full baseline broken"}
+    details = [vc2_baselines(g)]
     rng = np.random.default_rng(23)
     for _ in range(10):
         A = rng.random(g.size) < 0.5
-        t = int(rng.integers(0, g.size))
-        shifted = A[g.add[g.neg[t], :]]
-        if vc2.vc2_dim(A, g, 2) != vc2.vc2_dim(shifted, g, 2):
-            return {"ok": False, "detail": "translation variance"}
-    return {"ok": True}
+        details.append(vc2_translation(A, g, int(rng.integers(0, g.size))))
+    return _first_failure(details)
 
 
 def check_badcount1(level):
     rng = np.random.default_rng(29)
-    n = 3 if level == "full" else 2
-    tried = 0
+    details = []
     for _ in range(30):
-        B = random_factor(3, n, 1, 1, rng)
-        r = B.rank()
-        for k in (0, 1):
-            S = [int(rng.integers(0, B.grp.size))] if k else []
-            bad = count_bad_x(B, S)
-            if bad is None:
-                continue
-            bound = B.p ** (n + B.l + (k + 1) * B.q - r)
-            if bad > bound:
-                return {"ok": False,
-                        "detail": f"badcount1 violated: {bad} > {bound}"}
-            tried += 1
-    return {"ok": tried > 0, "detail": f"{tried} instances"}
+        B = random_factor(3, _n(level), 1, 1, rng)
+        details.append(badcount1_bound(B, []))
+        details.append(badcount1_bound(B, [int(rng.integers(0, B.grp.size))]))
+    return _first_failure(details)
 
 
 def check_omegagood(level):
-    """count_bad_w_tuples(B) <= 14 p^(4n+l+4q-r) on random factors.  It
-    cannot fail at the sizes run here (n = 2 or 3, l, q <= 1): the count is
-    at most p^(4n), and at p = 3 the bound is above that unless
+    """It cannot fail at the sizes run here (n = 2 or 3, l, q <= 1): the
+    count is at most p^(4n), and at p = 3 the bound is above that unless
     r >= l+4q+3, which needs n >= 7 at q = 1."""
     rng = np.random.default_rng(31)
-    n = 3 if level == "full" else 2
-    for _ in range(6):
-        B = random_factor(3, n, 1, 1, rng)
-        r = B.rank()
-        bad = count_bad_w_tuples(B)
-        bound = 14 * B.p ** (4 * n + B.l + 4 * B.q - r)
-        if bad > bound:
-            return {"ok": False, "detail": f"omegagood violated: {bad} > {bound}"}
-    return {"ok": True}
+    return _first_failure(omegagood_bound(random_factor(3, _n(level), 1, 1, rng))
+                          for _ in range(6))
 
 
 def check_pythagoras(level):
     rng = np.random.default_rng(37)
     g = group(3, 2)
+    details = []
     for _ in range(20):
         A = rng.random(g.size) < rng.uniform(0.2, 0.8)
         kp = int(rng.integers(1, 4))
         labels = rng.integers(0, kp, size=g.size)
-        parts = [np.nonzero(labels == i)[0] for i in range(kp)
-                 if np.any(labels == i)]
+        parts = [np.nonzero(labels == i)[0] for i in range(kp) if np.any(labels == i)]
         sub = rng.integers(0, 2, size=g.size)
-        refined = []
-        for P in parts:
-            for v in (0, 1):
-                Q = P[sub[P] == v]
-                if len(Q):
-                    refined.append(Q)
-        pythagoras_check(A, parts, refined, g.size)
-    return {"ok": True}
+        refined = [Q for P in parts for v in (0, 1) if len(Q := P[sub[P] == v])]
+        details.append(pythagoras(A, parts, refined, g.size))
+    return _first_failure(details)
 
 
 # -- diagnostics CSVs --------------------------------------------------------
@@ -280,32 +328,17 @@ def write_size_diagnostics(path, level):
     """Observed vs predicted sizes: atoms, fibres, omega counts, and the
     weighted triple-product average (should hover near 1 at high rank)."""
     rng = np.random.default_rng(41)
-    n = 3 if level == "full" else 2
     rows = []
     for fi in range(3):
-        B = random_factor(3, n, 1, 1, rng)
-        r = B.rank()
-        pred_atom = float(B.p) ** (B.n - B.l - B.q)
-        for e in B.all_labels():
-            rows.append({
-                "factor": fi, "rank": r, "kind": "atom",
-                "label": str(e), "observed": len(B.enumerate_atom(e)),
-                "predicted": pred_atom,
-            })
-        for dp in product(range(B.p), repeat=B.q):
-            rows.append({
-                "factor": fi, "rank": r, "kind": "fibre",
-                "label": str(dp), "observed": fibre_size(B, dp),
-                "predicted": float(B.p) ** (2 * B.n - B.q),
-            })
-        for e in B.all_labels():
-            rows.append({
-                "factor": fi, "rank": r, "kind": "omega",
-                "label": str(e), "observed": omega_count(B, e),
-                "predicted": omega_predicted(B),
-            })
+        B = random_factor(3, _n(level), 1, 1, rng)
+        r, p, N = B.rank(), float(B.p), B.grp.size
+        rows += [(fi, r, "atom", e, len(B.enumerate_atom(e)),
+                  p ** (B.n - B.l - B.q)) for e in B.all_labels()]
+        rows += [(fi, r, "fibre", dp, fibre_size(B, dp), p ** (2 * B.n - B.q))
+                 for dp in product(range(B.p), repeat=B.q)]
+        rows += [(fi, r, "omega", e, omega_count(B, e), omega_predicted(B))
+                 for e in B.all_labels()]
         # weighted triple-product average vs 1 on a sample of label tuples
-        N = B.grp.size
         for d in islice(all_local_labels(B), 5):
             try:
                 sizes, fibres = label_sizes(B, d)
@@ -313,33 +346,29 @@ def write_size_diagnostics(path, level):
                 continue
             k111 = len(k111_members(B, d))
             denom = math.prod(sizes + fibres, start=1.0)
-            rows.append({
-                "factor": fi, "rank": r, "kind": "triple_product_avg",
-                "label": str(d), "observed": k111 * float(N) ** 6 / denom / N ** 3,
-                "predicted": 1.0,
-            })
-    with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=["factor", "rank", "kind", "label",
-                                           "observed", "predicted"])
-        w.writeheader()
-        w.writerows(rows)
+            rows.append((fi, r, "triple_product_avg", d,
+                         k111 * float(N) ** 6 / denom / N ** 3, 1.0))
+    _write_csv(path, ["factor", "rank", "kind", "label", "observed",
+                      "predicted"], rows)
 
 
 def write_norm_equivalence_diagnostics(path, level):
     """norm-equivalence diffs for nontrivial factors (never asserted)."""
     rng = np.random.default_rng(43)
-    n = 3 if level == "full" else 2
+    header = ["factor", "rank", *localnorms.REPORT_COLUMNS]
     rows = []
     for fi in range(2):
-        B = random_factor(3, n, 1, 1, rng)
+        B = random_factor(3, _n(level), 1, 1, rng)
         f = rng.uniform(-1, 1, B.grp.size)
-        rows += [{"factor": fi, **rep}
+        rows += [[fi] + [rep[c] for c in header[1:]]
                  for rep in localnorms.norm_equivalence_samples(f, B, 6)]
+    _write_csv(path, header, rows)
+
+
+def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=["factor", "rank",
-                                           *localnorms.REPORT_COLUMNS],
-                           extrasaction="ignore")
-        w.writeheader()
+        w = csv.writer(fh)
+        w.writerow(header)
         w.writerows(rows)
 
 
@@ -362,15 +391,11 @@ CHECKS = [
 def verify_suite(level: str = "quick", out_dir: str | None = None) -> dict:
     if level not in ("quick", "full"):
         raise ValueError("level must be quick or full")
-    results = {}
-    ok = True
-    for name, fn in CHECKS:
-        res = fn(level)
-        results[name] = res
-        ok = ok and res["ok"]
+    results = {name: fn(level) for name, fn in CHECKS}
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         write_size_diagnostics(os.path.join(out_dir, "size_diagnostics.csv"), level)
         write_norm_equivalence_diagnostics(
             os.path.join(out_dir, "norm_equivalence.csv"), level)
+    ok = all(res["ok"] for res in results.values())
     return {"ok": ok, "level": level, "checks": results}

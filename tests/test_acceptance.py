@@ -1,32 +1,30 @@
 """End-to-end acceptance checks for the whole toolkit.
 
-Each test exercises one headline guarantee: exact agreement between the fast
-and naive norm engines, the combinatorial identities behind the local norms,
-the chain-calculus bounds, the exact energy bookkeeping of the decomposition
-algorithms, and recovery of planted structure.
+Each test exercises one headline guarantee: the combinatorial identities
+behind the local norms, the chain-calculus bounds, the exact energy
+bookkeeping of the decomposition algorithms, and recovery of planted
+structure.  Where quadreg.verify owns an identity, the test runs that owner
+on its own instances.
 """
-
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from quadreg import gowers, localnorms, vc2
-from quadreg.chains import (all_strings, corollary_chain_bound, f_table,
-                            linear_growth, ones_count, poly_growth, tau,
-                            tau_closed_bound)
+from quadreg import gowers, verify, vc2
+from quadreg.chains import (all_strings, f_table, linear_growth, ones_count,
+                            tau, tau_closed_bound)
 from quadreg.cli import main as cli_main
 from quadreg.factors import QuadraticFactor, rank_refine, refines, trivial_factor
 from quadreg.generators import random_factor
 from quadreg.gf import group
 from quadreg.io import save_json, set_to_dict
 from quadreg.localnorms import (all_local_labels, k222_members, norm_P_eighth,
-                                norm_TW_eighth, omega_count, omega_members,
+                                norm_TW_eighth, omega_members,
                                 preimage_intersection, psi_map, sigma_label,
                                 trivial_local_label)
 from quadreg.regularity import (RunConfig, assemble_main, cylinder_decompose,
-                                pythagoras_check, refinement_sum,
                                 validate_cells)
+from quadreg.verify import CHAIN_RHOS
 
 P = 3
 
@@ -37,76 +35,38 @@ def planted_n3():
     return B, B.atom_indicator(((), (2,)))
 
 
-# 1. norm-engine equivalence ------------------------------------------------
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_accept_01_fast_equals_naive(n):
-    g = group(P, n)
-    rng = np.random.default_rng(101)
-    for _ in range(50):
-        f = rng.uniform(-1.0, 1.0, size=g.size)
-        fast = gowers.u3_eighth_fast(f, g)
-        naive = gowers.u3_eighth_naive(f, g)
-        assert abs(fast - naive) <= 1e-9 * max(1.0, abs(naive))
-
-
 # 2. omega-count identity ---------------------------------------------------
 
 def test_accept_02_omega_identity():
     rng = np.random.default_rng(202)
     for _ in range(20):
-        B = random_factor(P, 2, 2, 1, rng)
-        for e in B.all_labels():
-            ind = B.atom_indicator(e)
-            cube_sum = gowers.u3_eighth_naive(ind, B.grp)
-            assert isinstance(cube_sum, int)
-            assert omega_count(B, e) == cube_sum
+        assert verify.omega_identity(random_factor(P, 2, 2, 1, rng)) is None
 
 
 # 3. definitional vs constraint membership ----------------------------------
 
 def test_accept_03_constraints_equivalence_exhaustive_n2():
     rng = np.random.default_rng(303)
-    g = group(P, 2)
-    N = g.size
-    X, H1, H2, H3 = (a.ravel() for a in np.indices((N, N, N, N)))
+    tuples = np.indices((P ** 2,) * 4).reshape(4, -1)
     for _ in range(4):
         B = random_factor(P, 2, 2, 2, rng)
         for e in B.all_labels():
-            a = localnorms.omega_member_definitional_bulk(B, e, X, H1, H2, H3)
-            b = localnorms.omega_member_constraints_bulk(B, e, X, H1, H2, H3)
-            assert np.array_equal(a, b)
+            assert verify.omega_membership(B, e, *tuples) is None
 
 
 def test_accept_03_constraints_equivalence_random_n4():
     rng = np.random.default_rng(304)
-    g = group(P, 4)
-    N = g.size
-    total = 10 ** 6
     B = random_factor(P, 4, 2, 2, rng)
-    X, H1, H2, H3 = (rng.integers(0, N, size=total) for _ in range(4))
-    e = B.atom_label_of(g.decode(int(rng.integers(0, N))))
-    a = localnorms.omega_member_definitional_bulk(B, e, X, H1, H2, H3)
-    b = localnorms.omega_member_constraints_bulk(B, e, X, H1, H2, H3)
-    assert np.array_equal(a, b)
+    tuples = [rng.integers(0, B.grp.size, size=10 ** 6) for _ in range(4)]
+    e = B.atom_label_of(B.grp.decode(int(rng.integers(0, B.grp.size))))
+    assert verify.omega_membership(B, e, *tuples) is None
 
 
 # 4. structure of the change of variables -----------------------------------
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_accept_04_psi_surjective_uniform_fibres(n):
-    g = group(P, n)
-    N = g.size
-    grids = np.indices((N,) * 6).reshape(6, -1)
-    x1, x2, y1, y2, z1, z2 = grids
-    add, neg = g.add, g.neg
-    w = add[add[x1, y1], z1]
-    ha = add[x2, neg[x1]]
-    hb = add[y2, neg[y1]]
-    hc = add[z2, neg[z1]]
-    code = ((w * N + ha) * N + hb) * N + hc
-    counts = np.bincount(code, minlength=N ** 4)
-    assert np.all(counts == N ** 2)  # surjective with fibres of size p^{2n}
+    assert verify.psi_fibres(group(P, n)) is None
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -114,10 +74,7 @@ def test_accept_04_rewrite_identity(n):
     g = group(P, n)
     rng = np.random.default_rng(404)
     for _ in range(20):
-        f = rng.uniform(-1.0, 1.0, size=g.size)
-        lhs = gowers.rewrite_sum_g6(f, g)
-        rhs = P ** (2 * n) * gowers.u3_eighth_fast(f, g)
-        assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
+        assert verify.rewrite_identity(rng.uniform(-1.0, 1.0, size=g.size), g) is None
 
 
 # 5. preimage parametrization -----------------------------------------------
@@ -170,13 +127,6 @@ def test_accept_06_trivial_factor_norms():
 
 # 7. chain calculus ---------------------------------------------------------
 
-CHAIN_RHOS = [
-    (linear_growth(1), Fraction(2), 1),
-    (linear_growth(2), Fraction(2), 1),
-    (poly_growth(1, 2), Fraction(2), 2),
-    (poly_growth(3, 2), Fraction(3), 2),
-]
-
 
 @pytest.mark.parametrize("ri", range(4))
 def test_accept_07_seq1_append_preserves_domination(ri):
@@ -224,35 +174,9 @@ def test_accept_07_seq3_frontloaded_maximizes(ri):
             assert table[s][1] == table[theta][1]
 
 
-def prefix_feasible(s):
-    """Every prefix has non-negative discrepancy: the only strings that can
-    arise from an actual deletion/addition chain (no deleting from q=0), and
-    the only ones keeping the f recursion away from negative arguments."""
-    d = 0
-    for b in s:
-        d += b
-        if d < 0:
-            return False
-    return True
-
-
 @pytest.mark.parametrize("ri", range(4))
 def test_accept_07_seq4_closed_form_bounds(ri):
-    rho, C, deg = CHAIN_RHOS[ri]
-    table = f_table(rho, 10)
-    for m in range(1, 11):
-        for s in all_strings(m):
-            if not prefix_feasible(s):
-                continue
-            k = ones_count(s)
-            a, b = table[s]
-            assert b == 2 * k - m
-            assert 0 <= b <= k
-            t = tau(rho, m - k, k, k)
-            assert 0 <= a <= t
-            lb, qb = corollary_chain_bound(C, deg, m, k)
-            assert t <= lb
-            assert b == qb
+    assert verify.chain_bounds(*CHAIN_RHOS[ri], 10) is None
 
 
 @pytest.mark.parametrize("ri", range(4))
@@ -276,14 +200,9 @@ def test_accept_08_pythagoras_100_random():
         codes_c = coarse_f.label_codes()
         codes_e = extra.label_codes()
         coarse = [np.nonzero(codes_c == c)[0] for c in np.unique(codes_c)]
-        fine = []
-        for part in coarse:
-            sub = codes_e[part]
-            for c in np.unique(sub):
-                fine.append(part[sub == c])
-        diff = pythagoras_check(A, coarse, fine, g.size)
-        assert diff == refinement_sum(A, coarse, fine, g.size)
-        assert diff >= 0
+        fine = [part[codes_e[part] == c] for part in coarse
+                for c in np.unique(codes_e[part])]
+        assert verify.pythagoras(A, coarse, fine, g.size) is None
 
 
 # 9. rank-refinement contract ------------------------------------------------
@@ -381,9 +300,7 @@ def test_accept_11_energy_accounting_random_runs():
 # 12. VC2 baselines and fixtures ---------------------------------------------
 
 def test_accept_12_vc2_baselines():
-    g = group(P, 2)
-    assert vc2.vc2_dim(np.zeros(g.size, dtype=bool), g) == (0, False)
-    assert vc2.vc2_dim(np.ones(g.size, dtype=bool), g) == (0, False)
+    assert verify.vc2_baselines(group(P, 2)) is None
 
 
 def test_accept_12_translation_invariance():
@@ -391,11 +308,7 @@ def test_accept_12_translation_invariance():
     rng = np.random.default_rng(1212)
     for _ in range(50):
         A = rng.random(g.size) < rng.uniform(0.2, 0.8)
-        t = int(rng.integers(0, g.size))
-        At = np.zeros(g.size, dtype=bool)
-        At[g.add[np.nonzero(A)[0], t]] = True
-        assert vc2.vc_dim(A, g, 2) == vc2.vc_dim(At, g, 2)
-        assert vc2.vc2_dim(A, g, 2) == vc2.vc2_dim(At, g, 2)
+        assert verify.vc2_translation(A, g, int(rng.integers(0, g.size))) is None
 
 
 # regression fixtures: exhaustive values computed once at p=3, n=3 and frozen
@@ -418,22 +331,3 @@ def test_accept_12_regression_fixtures(fi):
     assert int(A.sum()) == size
     assert vc2.vc_dim(A, g, 3) == vd
     assert vc2.vc2_dim(A, g, 3) == v2
-
-
-# 13. verification suite and diagnostics -------------------------------------
-
-def test_accept_13_verify_suite_quick(tmp_path):
-    from quadreg.verify import verify_suite
-    report = verify_suite("quick", out_dir=str(tmp_path))
-    assert report["ok"] is True
-    # the explicit counting inequalities are asserted, not just reported
-    assert report["checks"]["omegagood_bound"]["ok"]
-    assert report["checks"]["badcount1_bound"]["ok"]
-    size_csv = (tmp_path / "size_diagnostics.csv").read_text()
-    norm_csv = (tmp_path / "norm_equivalence.csv").read_text()
-    assert size_csv.splitlines()[0] == \
-        "factor,rank,kind,label,observed,predicted"
-    assert norm_csv.splitlines()[0] == ("factor,rank,label,atom_size,"
-                                        "omega_count,omega_predicted,"
-                                        "normP8,normTW8,diff")
-    assert "triple_product_avg" in size_csv

@@ -27,7 +27,8 @@ def test_growth_linear_is_poly_degree_one():
     assert GrowthFunction.parse("poly:2,1").describe() == "linear:2"
 
 
-@pytest.mark.parametrize("text", ["linear:1/0", "poly:1/0,2", "poly:1,-1"])
+@pytest.mark.parametrize("text", ["linear:1/0", "poly:1/0,2", "poly:1,-1",
+                                  "linear:-1", "linear:0", "poly:-1,2"])
 def test_growth_parse_rejects(text):
     with pytest.raises(ValueError):
         GrowthFunction.parse(text)

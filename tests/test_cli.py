@@ -170,9 +170,15 @@ def test_verify_command(tmp_path, capsys, level):
     assert main(["verify", "--level", level, "--out", str(tmp_path)]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["ok"] is True and len(rep) == 13  # 12 checks and the verdict
-    for name in ("size_diagnostics.csv", "norm_equivalence.csv"):
-        with open(tmp_path / name) as fh:
-            assert list(csv.DictReader(fh))
+    # the explicit counting inequalities are asserted, not just reported
+    assert rep["omegagood_bound"] and rep["badcount1_bound"]
+    size_csv = (tmp_path / "size_diagnostics.csv").read_text().splitlines()
+    norm_csv = (tmp_path / "norm_equivalence.csv").read_text().splitlines()
+    assert size_csv[0] == "factor,rank,kind,label,observed,predicted"
+    assert norm_csv[0] == ("factor,rank,label,atom_size,omega_count,"
+                           "omega_predicted,normP8,normTW8,diff")
+    assert len(size_csv) > 1 and len(norm_csv) > 1
+    assert any(",triple_product_avg," in row for row in size_csv)
 
 
 def _write(path, obj):
@@ -194,6 +200,9 @@ def _write(path, obj):
                                   "decompose-rho-zero-denominator",
                                   "chain-bounds-rho-zero-denominator",
                                   "chain-bounds-rho-negative-degree",
+                                  "chain-bounds-rho-negative-constant",
+                                  "decompose-rho-zero-constant",
+                                  "gen-density-nan", "gen-density-above-one",
                                   "norms-nan-value", "norms-infinite-value",
                                   "decompose-nan-value"])
 def test_bad_input_exits_4(tmp_path, capsys, case):
@@ -246,12 +255,19 @@ def test_bad_input_exits_4(tmp_path, capsys, case):
         params = {"list": "[1]", "null": "null", "string": '"x"'}[case[11:]]
         argv = ["gen", "--kind", "random", "--params", params, "--p", "3",
                 "--n", "2", "--out", out]
-    elif case == "decompose-rho-zero-denominator":
+    elif case.startswith("decompose-rho-"):
+        rho = "linear:1/0" if case.endswith("denominator") else "linear:0"
         argv = ["decompose", "--set", str(gen_set(tmp_path)), "--delta", "0.4",
-                "--rho", "linear:1/0", "--out", out]
+                "--rho", rho, "--out", out]
     elif case.startswith("chain-bounds-rho-"):  # rho(0) = 0^-1 at degree -1
-        rho = "linear:1/0" if case.endswith("denominator") else "poly:1,-1"
+        rho = {"denominator": "linear:1/0", "degree": "poly:1,-1",
+               "constant": "linear:-1"}[case.rsplit("-", 1)[1]]
         argv = ["chain-bounds", "--rho", rho, "--length", "2"]
+    elif case.startswith("gen-density-"):
+        density = "nan" if case.endswith("nan") else 1.5
+        argv = ["gen", "--kind", "random", "--params",
+                json.dumps({"density": density}), "--p", "3", "--n", "2",
+                "--out", out]
     elif case in ("norms-nan-value", "norms-infinite-value",
                   "decompose-nan-value"):
         bad = float("nan") if "nan" in case else float("inf")

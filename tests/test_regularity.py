@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quadreg import factors, regularity
+from quadreg import factors, regularity, verify
 from quadreg.chains import linear_growth
 from quadreg.factors import QuadraticFactor
 from quadreg.generators import generate_set, random_factor
@@ -12,8 +12,7 @@ from quadreg.localnorms import norm_P_eighth
 from quadreg.regularity import (BudgetExceeded, RunConfig, assemble_main,
                                 correlation, cylinder_decompose,
                                 global_decompose, index, inverse_oracle,
-                                poly_values, pythagoras_check, refinement_sum,
-                                validate_cells)
+                                poly_values, validate_cells)
 
 
 def atom_parts(B):
@@ -57,9 +56,7 @@ def test_pythagoras_exact_random():
             codes = Bf.label_codes()[P]
             for c in np.unique(codes):
                 fine.append(P[codes == c])
-        diff = pythagoras_check(A, coarse, fine, g.size)
-        assert diff == refinement_sum(A, coarse, fine, g.size)
-        assert diff >= 0
+        assert verify.pythagoras(A, coarse, fine, g.size) is None
 
 
 def test_threshold_and_budget():
