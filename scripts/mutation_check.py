@@ -93,7 +93,7 @@ MUTATIONS = [
              "table[s + (-1,)] = (a - rho(a + b), b - 1)",
              ("tests/test_acceptance.py::test_accept_07_seq4_closed_form_bounds[0]",
               VERIFY_QUICK)),
-    Mutation("vc2_baselines", "vc2_search starts its count at 1", "vc2.py",
+    Mutation("vc2_baselines", "the VC/VC2 search starts its count at 1", "vc2.py",
              "    best, wit = 0, None\n", "    best, wit = 1, None\n",
              ("tests/test_acceptance.py::test_accept_12_vc2_baselines",
               VERIFY_QUICK)),
@@ -140,7 +140,9 @@ MUTATIONS = [
              "off-diagonals", "regularity.py",
              "c = np.where(i == j, c, c * pow(2, -1, grp.p)) % grp.p",
              "c = c % grp.p",
-             ("tests/test_regularity.py::test_monomial_order_is_matrix_order[2]",)),
+             ("tests/test_regularity.py::test_monomial_order_is_matrix_order[2]",
+              "tests/test_regularity.py::"
+              "test_witness_achieves_reported_correlation[2-exhaustive]")),
     Mutation("inverse oracle", "the linear part is r = s, not -s",
              "regularity.py", "r = tuple(int((-ci) % grp.p)",
              "r = tuple(int(ci % grp.p)",

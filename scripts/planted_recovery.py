@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from quadreg.chains import linear_growth
+from quadreg.chains import GrowthFunction
 from quadreg.factors import QuadraticFactor
 from quadreg.gf import group
 from quadreg.regularity import (RunConfig, assemble_main, cylinder_decompose,
@@ -31,7 +31,7 @@ def main():
     print(f"planted: value-2 level set of x^T x at p={p}, n={args.n}, "
           f"|A|={int(A.sum())}, rank={B.rank()}")
 
-    rho = linear_growth(1)
+    rho = GrowthFunction(1)
     cfg = RunConfig(seed=args.seed)
     t0 = time.time()
     cells, report = cylinder_decompose(A, args.delta, rho, cfg, p=p, n=args.n)

@@ -1,7 +1,7 @@
 """Desk-scale quadratic uniformity toolkit over F_p^n."""
 
 from .gf import Group, group
-from .factors import QuadraticFactor, trivial_factor
+from .factors import QuadraticFactor
 
-__all__ = ["Group", "group", "QuadraticFactor", "trivial_factor"]
+__all__ = ["Group", "group", "QuadraticFactor"]
 __version__ = "0.1.0"

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from . import gf
 from .factors import QuadraticFactor, nontrivial_combinations
@@ -18,9 +17,13 @@ from .factors import QuadraticFactor, nontrivial_combinations
 
 @dataclass(frozen=True)
 class GrowthFunction:
-    """rho(x) = C*x^d; `linear:K` is C = K, d = 1."""
+    """rho(x) = C*x^d, C stored as a Fraction, d as an int; `linear:K` is C = K."""
     C: Fraction
     d: int = 1
+
+    def __post_init__(self):
+        object.__setattr__(self, "C", Fraction(self.C))
+        object.__setattr__(self, "d", int(self.d))
 
     def __call__(self, x):
         return self.C * x ** self.d
@@ -36,20 +39,12 @@ class GrowthFunction:
             raise ValueError(f"bad growth function syntax: {text!r}")
         c, d = (params, "1") if kind == "linear" else params.split(",")
         try:
-            rho = GrowthFunction(Fraction(c), int(d))
+            rho = GrowthFunction(c, d)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {text!r}") from None
         if rho.C <= 0 or rho.d < 0:
             raise ValueError(f"{text!r} needs C > 0 and d >= 0")
         return rho
-
-
-def linear_growth(K) -> GrowthFunction:
-    return GrowthFunction(Fraction(K))
-
-
-def poly_growth(C, d) -> GrowthFunction:
-    return GrowthFunction(Fraction(C), int(d))
 
 
 # -- binary strings ----------------------------------------------------------
@@ -58,14 +53,6 @@ def disc(s) -> int:
     """Sum of the +-1 entries."""
     assert all(b in (-1, 1) for b in s)
     return sum(s)
-
-
-def ones_count(s) -> int:
-    return sum(1 for b in s if b == 1)
-
-
-def all_strings(length: int):
-    return product((-1, 1), repeat=length)
 
 
 # -- recursions --------------------------------------------------------------
@@ -95,9 +82,9 @@ def f_sigma(rho, s):
 
 
 def f_table(rho, length: int) -> dict:
-    """f_sigma for every string of length <= length, in all_strings order
-    (shorter strings first); each entry extends its parent prefix by one
-    step of the recursion."""
+    """f_sigma for every string of length <= length, shorter strings first,
+    each length in product((-1, 1), repeat=m) order; each entry extends its
+    parent prefix by one step of the recursion."""
     table = {(): (Fraction(0), Fraction(0))}
     level = [()]
     for _ in range(length):

@@ -37,10 +37,7 @@ def cmd_decompose(args) -> int:
     try:
         if args.mode == "global":
             B, report = global_decompose(A, args.delta, rho, config, p=p, n=n)
-            out = {"mode": "global", "factor": io.factor_to_dict(B),
-                   "complexity": list(report["complexity"]),
-                   "rank": report["rank"],
-                   "nonuniform_mass": report["nonuniform_mass"]}
+            out = io.global_to_dict(B, report)
         else:
             cells, report = cylinder_decompose(A, args.delta, rho, config,
                                                p=p, n=n)
@@ -52,15 +49,7 @@ def cmd_decompose(args) -> int:
         print(f"budget-exceeded: {e}", file=sys.stderr)
         return 3
     io.save_json(os.path.join(args.out, "partition.json"), out)
-    with open(os.path.join(args.out, "trace.csv"), "w", newline="") as fh:
-        fields = ["step", "kind", "index_before", "index_after",
-                  "nonuniform_mass", "deletions", "witnesses"]
-        w = csv.DictWriter(fh, fieldnames=fields)
-        w.writeheader()
-        for t in report["trace"]:
-            w.writerow({k: getattr(t, k) for k in fields}
-                       | {"index_before": float(t.index_before),
-                          "index_after": float(t.index_after)})
+    io.save_trace(os.path.join(args.out, "trace.csv"), report["trace"])
     return 0
 
 

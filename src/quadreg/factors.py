@@ -68,14 +68,11 @@ class QuadraticFactor:
 
     # -- beta maps -----------------------------------------------------------
 
-    def beta_L(self, x):
-        return tuple(gf.dot(x, r, self.p) for r in self.L)
-
     def beta_Q(self, x, y):
         return tuple(gf.bilinear(M, x, y, self.p) for M in self.Q)
 
     def atom_label_of(self, x):
-        return (self.beta_L(x), self.beta_Q(x, x))
+        return (tuple(gf.dot(x, r, self.p) for r in self.L), self.beta_Q(x, x))
 
     # -- vectorized label machinery -------------------------------------------
 
@@ -141,10 +138,6 @@ class QuadraticFactor:
         if self._rank is None:
             self._rank = factor_rank(self)
         return self._rank
-
-
-def trivial_factor(p, n) -> QuadraticFactor:
-    return QuadraticFactor(p, n)
 
 
 def nontrivial_combinations(B: QuadraticFactor):

@@ -8,12 +8,6 @@ from .factors import QuadraticFactor
 from .gf import group, is_independent
 
 
-def random_symmetric_matrix(p, n, rng):
-    M = rng.integers(0, p, size=(n, n))
-    M = (M + M.T) % p  # diagonal doubles, still uniform enough for tests
-    return tuple(tuple(int(v) for v in row) for row in M)
-
-
 def random_factor(p, n, lmax, qmax, rng) -> QuadraticFactor:
     """Random factor with l <= lmax independent vectors and q <= qmax
     distinct symmetric matrices."""
@@ -29,7 +23,9 @@ def random_factor(p, n, lmax, qmax, rng) -> QuadraticFactor:
     Q = []
     guard = 0
     while len(Q) < q and guard < 200:
-        M = random_symmetric_matrix(p, n, rng)
+        M = rng.integers(0, p, size=(n, n))
+        # diagonal doubles, still uniform enough for tests
+        M = tuple(map(tuple, ((M + M.T) % p).tolist()))
         if any(any(row) for row in M) and M not in Q:
             Q.append(M)
         guard += 1
@@ -46,21 +42,16 @@ def generate_set(kind: str, params: dict, seed: int, p: int, n: int) -> np.ndarr
         if not 0 <= density <= 1:  # NaN too
             raise ValueError(f"density must lie in [0, 1], not {density}")
         return rng.random(g.size) < density
-    if kind == "atom-union":
-        B = QuadraticFactor(p, n, params.get("L", []), params.get("Q", []))
-        mask = np.zeros(g.size, dtype=bool)
-        for lab in params["labels"]:
-            label = (tuple(lab["a"]), tuple(lab["b"]))
-            mask |= B.atom_indicator(label)
-        return mask
+    # a quadratic variety and a coset are one-atom unions
     if kind == "quadratic-variety":
-        M = params["M"]
-        value = int(params.get("value", 0))
-        B = QuadraticFactor(p, n, [], [M])
-        return B.atom_indicator(((), (value,)))
-    if kind == "coset":
-        L = params["L"]
-        a = params["a"]
-        B = QuadraticFactor(p, n, L, [])
-        return B.atom_indicator((tuple(a), ()))
-    raise ValueError(f"unknown set kind {kind!r}")
+        params = {"Q": [params["M"]],
+                  "labels": [{"a": [], "b": [int(params.get("value", 0))]}]}
+    elif kind == "coset":
+        params = {"L": params["L"], "labels": [{"a": params["a"], "b": []}]}
+    elif kind != "atom-union":
+        raise ValueError(f"unknown set kind {kind!r}")
+    B = QuadraticFactor(p, n, params.get("L", []), params.get("Q", []))
+    mask = np.zeros(g.size, dtype=bool)
+    for lab in params["labels"]:
+        mask |= B.atom_indicator((tuple(lab["a"]), tuple(lab["b"])))
+    return mask

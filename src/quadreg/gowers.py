@@ -25,10 +25,11 @@ def as_values(f, grp: Group) -> np.ndarray:
     return v
 
 
-def _is_integral(v: np.ndarray) -> bool:
-    if np.issubdtype(v.dtype, np.integer) or v.dtype == bool:
-        return True
-    return bool(np.all(v == np.round(v)))
+def _exact(v: np.ndarray):
+    """(v as int64, int) for integer-valued v, so sums are exact; else (v, float)."""
+    if v.dtype.kind in "biu" or np.all(v == np.round(v)):
+        return np.round(v).astype(np.int64), int
+    return v, float
 
 
 def cube_points(grp: Group, x, *hs):
@@ -47,14 +48,12 @@ def _cube_sum_naive(f, grp: Group, d: int, name: str):
     N = grp.size
     if N ** (d + 1) > NAIVE_CAP:
         raise ValueError(f"{name}: enumeration too large")
-    integral = _is_integral(v)
-    if integral:
-        v = np.round(v).astype(np.int64)
+    v, cast = _exact(v)
     pts = cube_points(grp, *np.ix_(*[np.arange(N)] * (d + 1)))
     t = np.ones((N,) * (d + 1), dtype=v.dtype)
     for pt in pts:
         t *= v[pt]
-    return int(t.sum()) if integral else float(t.sum())
+    return cast(t.sum())
 
 
 def u2_fourth_naive(f, grp: Group):
@@ -110,9 +109,7 @@ def rewrite_sum_g6(f, grp: Group):
     N = grp.size
     if N ** 6 > 10 ** 6:
         raise ValueError("rewrite_sum_g6: enumeration too large")
-    integral = _is_integral(v)
-    if integral:
-        v = np.round(v).astype(np.int64)
+    v, cast = _exact(v)
     a = grp.add
     # F3[x, y, z] = f(x + y + z); broadcast axes (x1,x2,y1,y2,z1,z2)
     s2 = a[np.arange(N)[:, None], np.arange(N)[None, :]]
@@ -121,4 +118,4 @@ def rewrite_sum_g6(f, grp: Group):
          * F3[:, None, :, :, None] * F3[:, None, :, None, :])
     # P[x, y1, y2, z1, z2] = prod_{j,k} f(x + y_j + z_k)
     Q = np.einsum("ayzwv,byzwv->", P, P)
-    return int(Q) if integral else float(Q)
+    return cast(Q)

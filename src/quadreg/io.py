@@ -1,8 +1,9 @@
-"""Flat-file JSON formats: sets, functions, factors, labels, partitions.
-All output is canonically ordered (sorted keys) so diffs are meaningful."""
+"""File formats: JSON sets, functions, factors and partitions, canonically
+ordered (sorted keys) so diffs are meaningful, and the CSV decomposition trace."""
 
 from __future__ import annotations
 
+import csv
 import json
 from contextlib import contextmanager
 
@@ -89,7 +90,7 @@ def set_from_dict(d: dict):
     return v.astype(bool), p, n
 
 
-# -- factors / labels --------------------------------------------------------
+# -- factors -----------------------------------------------------------------
 
 def factor_to_dict(B: QuadraticFactor) -> dict:
     return {"p": B.p, "n": B.n, "L": [list(v) for v in B.L],
@@ -100,18 +101,14 @@ def factor_from_dict(d: dict) -> QuadraticFactor:
     return QuadraticFactor(d["p"], d["n"], d.get("L", []), d.get("Q", []))
 
 
-def label_to_dict(label) -> dict:
-    return {"a": list(label[0]), "b": list(label[1])}
-
-
-# -- partitions --------------------------------------------------------------
+# -- partitions and traces ---------------------------------------------------
 
 def cells_to_dict(cells, p: int, n: int) -> dict:
     out = []
     for c in sorted(cells, key=lambda c: c.key()):
         out.append({
             "factor": factor_to_dict(c.factor),
-            "label": label_to_dict(c.label),
+            "label": {"a": list(c.label[0]), "b": list(c.label[1])},
             "sigma": list(c.sigma),
             "members": sorted(int(x) for x in c.members),
             "density": c.density,
@@ -119,3 +116,23 @@ def cells_to_dict(cells, p: int, n: int) -> dict:
             "uniform": bool(c.uniform),
         })
     return {"p": p, "n": n, "cells": out}
+
+
+def global_to_dict(B: QuadraticFactor, report) -> dict:
+    """A global decomposition's partition: its factor and its report."""
+    return {"mode": "global", "factor": factor_to_dict(B),
+            "complexity": list(report["complexity"]), "rank": report["rank"],
+            "nonuniform_mass": report["nonuniform_mass"]}
+
+
+def save_trace(path, trace) -> None:
+    """One CSV row per step record, the exact indices written as floats."""
+    fields = ["step", "kind", "index_before", "index_after",
+              "nonuniform_mass", "deletions", "witnesses"]
+    with open(path, "w", newline="") as fh:
+        w = csv.DictWriter(fh, fieldnames=fields)
+        w.writeheader()
+        for t in trace:
+            w.writerow({k: getattr(t, k) for k in fields}
+                       | {"index_before": float(t.index_before),
+                          "index_after": float(t.index_after)})

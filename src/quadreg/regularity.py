@@ -14,7 +14,7 @@ import numpy as np
 
 from . import gf, gowers, localnorms
 from .chains import disc, validate_chain
-from .factors import QuadraticFactor, rank_refine, rho_matrix_delete, trivial_factor
+from .factors import QuadraticFactor, rank_refine, rho_matrix_delete
 from .gf import Group, group
 
 C_INV = 4                 # witness threshold delta^C/C, budget C^2 delta^(-2C-2)
@@ -320,7 +320,7 @@ def _decompose(A, delta: float, rho, config: RunConfig, p: int, n: int,
         raise ValueError("set indicator has wrong length")
     rng = np.random.default_rng(config.seed)
     everything = np.arange(g.size)
-    cells = _atoms(A, everything, trivial_factor(p, n), (), [], delta)
+    cells = _atoms(A, everything, QuadraticFactor(p, n), (), [], delta)
     ind = index(A, [c.members for c in cells], g.size)
     trace: list[StepRecord] = []
     budget = config.budget(delta)
@@ -413,7 +413,7 @@ def assemble_main(A, delta: float, rho, config: RunConfig, *, p: int, n: int):
     A = np.asarray(A, dtype=bool)
     cells, rep = cylinder_decompose(A, delta, rho, config, p=p, n=n)
     keep = [c for c in cells if c.uniform]
-    B = _extend(trivial_factor(p, n), [v for c in keep for v in c.factor.L],
+    B = _extend(QuadraticFactor(p, n), [v for c in keep for v in c.factor.L],
                 [M for c in keep for M in c.factor.Q])
     B, deletions, feasible = rank_refine(B, rho)
     codes = B.label_codes()

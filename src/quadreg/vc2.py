@@ -10,6 +10,7 @@ inA[x + c], and the first candidate whose codes take all 2^m values is the
 witness.  Batches start at one candidate, so early exits stay cheap, and
 double up to _BATCH_ENTRIES gathered entries.  At n = 3 a VC2 dimension-1
 set runs all C(27, 2)^2 = 123,201 grids of the k = 2 search in about 0.1 s.
+Both searches return (found, witness): () at k = 0, None when not found.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ KMAX_HARD = 3
 _BATCH_ENTRIES = 1 << 16  # candidates x points x translates per batch
 
 
-def _as_mask(A, grp: Group) -> np.ndarray:
+def _search_mask(A, grp: Group, k: int) -> np.ndarray:
+    if k > KMAX_HARD:
+        raise ValueError(f"k > {KMAX_HARD} refused")
     m = np.asarray(A, dtype=bool)
     if m.shape != (grp.size,):
         raise ValueError("set must be a dense mask over the group")
@@ -59,14 +62,13 @@ def _first_shattered(T: np.ndarray, points, count: int, m: int):
     return None
 
 
-def vc_dim_at_least(A, grp: Group, k: int, witness: bool = False):
-    """Exists (a_1..a_k) and translates b_S realizing every membership
-    pattern S subseteq [k]?  Distinct a_i WLOG (duplicates can't shatter)."""
-    if k > KMAX_HARD:
-        raise ValueError(f"k > {KMAX_HARD} refused")
-    inA = _as_mask(A, grp)
+def vc_dim_at_least(A, grp: Group, k: int):
+    """(found, (a, {pattern: b})): exists (a_1..a_k) and translates b_S
+    realizing every membership pattern S subseteq [k]?  Distinct a_i WLOG
+    (duplicates can't shatter)."""
+    inA = _search_mask(A, grp, k)
     if k == 0:
-        return (True, ()) if witness else True
+        return True, ()
     N = grp.size
     tuples = combinations(range(N), k)
 
@@ -75,24 +77,20 @@ def vc_dim_at_least(A, grp: Group, k: int, witness: bool = False):
 
     found = _first_shattered(inA[grp.add], points, comb(N, k), k)
     if found is None:
-        return (False, None) if witness else False
-    if witness:
-        _, a, bs = found
-        return True, (tuple(a.tolist()), bs)
-    return True
+        return False, None
+    _, a, bs = found
+    return True, (tuple(a.tolist()), bs)
 
 
-def vc2_dim_at_least(A, grp: Group, k: int, witness: bool = False):
-    """Exists a k x k grid (a_i + b_j) shattered by translates c_S over all
-    2^(k^2) patterns?"""
-    if k > KMAX_HARD:
-        raise ValueError(f"k > {KMAX_HARD} refused")
-    inA = _as_mask(A, grp)
+def vc2_dim_at_least(A, grp: Group, k: int):
+    """(found, (a, b, {pattern: c})): exists a k x k grid (a_i + b_j)
+    shattered by translates c_S over all 2^(k^2) patterns?"""
+    inA = _search_mask(A, grp, k)
     if k == 0:
-        return (True, ()) if witness else True
+        return True, ()
     N = grp.size
     if 2 ** (k * k) > N:
-        return (False, None) if witness else False
+        return False, None
     add = grp.add
     tup = np.array(list(combinations(range(N), k)), dtype=np.intp)
     M = len(tup)
@@ -104,33 +102,31 @@ def vc2_dim_at_least(A, grp: Group, k: int, witness: bool = False):
 
     found = _first_shattered(inA[add], points, M * M, k * k)
     if found is None:
-        return (False, None) if witness else False
-    if witness:
-        g, _, cs = found
-        return True, (tuple(tup[g // M].tolist()), tuple(tup[g % M].tolist()), cs)
-    return True
+        return False, None
+    g, _, cs = found
+    return True, (tuple(tup[g // M].tolist()), tuple(tup[g % M].tolist()), cs)
+
+
+def _search(at_least, A, grp: Group, kmax: int):
+    """(value, saturated, witness): the largest k <= kmax that at_least
+    finds, whether kmax was reached, and the witness at k (None at 0)."""
+    best, wit = 0, None
+    for k in range(1, kmax + 1):
+        ok, w = at_least(A, grp, k)
+        if not ok:
+            return best, False, wit
+        best, wit = k, w
+    return best, True, wit
 
 
 def vc_dim(A, grp: Group, kmax: int = KMAX_HARD) -> int:
-    best = 0
-    for k in range(1, kmax + 1):
-        if vc_dim_at_least(A, grp, k):
-            best = k
-        else:
-            break
-    return best
+    return _search(vc_dim_at_least, A, grp, kmax)[0]
 
 
 def vc2_search(A, grp: Group, kmax: int = KMAX_HARD):
     """(value, saturated, witness): vc2_dim plus the witness
     (a, b, {pattern: c}) of the largest shattered grid, None at value 0."""
-    best, wit = 0, None
-    for k in range(1, kmax + 1):
-        ok, w = vc2_dim_at_least(A, grp, k, witness=True)
-        if not ok:
-            return best, False, wit
-        best, wit = k, w
-    return best, True, wit
+    return _search(vc2_dim_at_least, A, grp, kmax)
 
 
 def vc2_dim(A, grp: Group, kmax: int = KMAX_HARD):

@@ -19,8 +19,7 @@ from itertools import islice, product
 import numpy as np
 
 from . import gf, gowers, localnorms, vc2
-from .chains import (corollary_chain_bound, f_table, linear_growth,
-                     poly_growth, tau)
+from .chains import GrowthFunction, corollary_chain_bound, f_table, tau
 from .factors import QuadraticFactor
 from .generators import random_factor
 from .gf import group
@@ -132,8 +131,9 @@ def rewrite_identity(f, g):
 
 
 # (rho, C, d) with rho(x) <= C x^d: the growth functions of the chain bounds
-CHAIN_RHOS = [(linear_growth(1), Fraction(2), 1), (linear_growth(2), Fraction(2), 1),
-              (poly_growth(1, 2), Fraction(2), 2), (poly_growth(3, 2), Fraction(3), 2)]
+CHAIN_RHOS = [(GrowthFunction(1), Fraction(2), 1), (GrowthFunction(2), Fraction(2), 1),
+              (GrowthFunction(1, 2), Fraction(2), 2),
+              (GrowthFunction(3, 2), Fraction(3), 2)]
 
 
 def chain_bounds(rho, C, d: int, length: int):

@@ -1,12 +1,6 @@
 import numpy as np
-import pytest
 
 from quadreg.generators import random_factor
-from quadreg.gf import group
-
-
-def random_bounded(rng, N):
-    return rng.uniform(-1.0, 1.0, size=N)
 
 
 def seeded_factors(p, n, count, lmax, qmax, seed=0):
@@ -17,13 +11,3 @@ def seeded_factors(p, n, count, lmax, qmax, seed=0):
         out.append(random_factor(p, n, lmax, qmax, rng))
         guard += 1
     return out
-
-
-@pytest.fixture
-def rng():
-    return np.random.default_rng(12345)
-
-
-@pytest.fixture
-def g32():
-    return group(3, 2)

@@ -7,14 +7,15 @@ structure.  Where quadreg.verify owns an identity, the test runs that owner
 on its own instances.
 """
 
+from itertools import product
+
 import numpy as np
 import pytest
 
 from quadreg import gowers, verify, vc2
-from quadreg.chains import (all_strings, f_table, linear_growth, ones_count,
-                            tau, tau_closed_bound)
+from quadreg.chains import GrowthFunction, f_table, tau, tau_closed_bound
 from quadreg.cli import main as cli_main
-from quadreg.factors import QuadraticFactor, rank_refine, refines, trivial_factor
+from quadreg.factors import QuadraticFactor, rank_refine, refines
 from quadreg.generators import random_factor
 from quadreg.gf import group
 from quadreg.io import save_json, set_to_dict
@@ -81,7 +82,7 @@ def test_accept_04_rewrite_identity(n):
 
 def five_seeded_factors_n2():
     return [
-        trivial_factor(P, 2),
+        QuadraticFactor(P, 2),
         QuadraticFactor(P, 2, [(1, 0)], []),
         QuadraticFactor(P, 2, [(1, 0), (0, 1)], []),
         QuadraticFactor(P, 2, [], [[[1, 0], [0, 1]]]),
@@ -93,17 +94,25 @@ def five_seeded_factors_n2():
 def test_accept_05_preimage_parametrization(fi):
     B = five_seeded_factors_n2()[fi]
     g = B.grp
+    N = g.size
     for d in all_local_labels(B):
-        mem = k222_members(B, d)
+        mem = np.array(k222_members(B, d), dtype=np.int64)
+        if not len(mem):
+            continue
         e = sigma_label(B, d)
-        bypsi = {}
-        for t in mem:
-            bypsi.setdefault(psi_map(g, *t), set()).add(t)
-        if mem:
-            # every image point must be an omega tuple of the sum label
-            om = set(omega_members(B, e))
-            assert set(bypsi) <= om
-        for omt, expect in bypsi.items():
+        # one psi_map call for every member, then the members grouped by
+        # the code of their image
+        images = np.stack(psi_map(g, *mem.T), axis=1)
+        codes = images @ np.array([N ** 3, N ** 2, N, 1])
+        order = np.argsort(codes, kind="stable")
+        starts = np.unique(codes[order], return_index=True)[1]
+        groups = np.split(order, starts[1:])
+        # every image point must be an omega tuple of the sum label
+        om = set(omega_members(B, e))
+        assert {tuple(images[idx[0]].tolist()) for idx in groups} <= om
+        for idx in groups:
+            expect = set(map(tuple, mem[idx].tolist()))
+            omt = images[idx[0]].tolist()
             assert preimage_intersection(B, d, e, *omt) == expect
 
 
@@ -113,7 +122,7 @@ def test_accept_06_trivial_factor_norms():
     rng = np.random.default_rng(606)
     for n in (1, 2, 3):
         g = group(P, n)
-        B = trivial_factor(P, n)
+        B = QuadraticFactor(P, n)
         e = ((), ())
         d = trivial_local_label(B)
         for _ in range(50):
@@ -132,9 +141,9 @@ def test_accept_06_trivial_factor_norms():
 def test_accept_07_seq1_append_preserves_domination(ri):
     rho, _, _ = CHAIN_RHOS[ri]
     table = f_table(rho, 12)
-    mus = [m for ln in range(7) for m in all_strings(ln)]
+    mus = [m for ln in range(7) for m in product((-1, 1), repeat=ln)]
     for t in range(7):
-        strings = list(all_strings(t))
+        strings = list(product((-1, 1), repeat=t))
         for s1 in strings:
             a1, b1 = table[s1]
             for s2 in strings:
@@ -154,7 +163,7 @@ def test_accept_07_seq2_swap_monotone(ri):
     rho, _, _ = CHAIN_RHOS[ri]
     table = f_table(rho, 10)
     for m in range(2, 11):
-        for s in all_strings(m):
+        for s in product((-1, 1), repeat=m):
             for i in range(m - 1):
                 if s[i] == -1 and s[i + 1] == 1:
                     phi = s[:i] + (1, -1) + s[i + 2:]
@@ -167,8 +176,8 @@ def test_accept_07_seq3_frontloaded_maximizes(ri):
     rho, _, _ = CHAIN_RHOS[ri]
     table = f_table(rho, 10)
     for m in range(1, 11):
-        for s in all_strings(m):
-            k = ones_count(s)
+        for s in product((-1, 1), repeat=m):
+            k = s.count(1)
             theta = (1,) * k + (-1,) * (m - k)
             assert table[s][0] <= table[theta][0]
             assert table[s][1] == table[theta][1]
@@ -208,7 +217,7 @@ def test_accept_08_pythagoras_100_random():
 # 9. rank-refinement contract ------------------------------------------------
 
 def test_accept_09_rank_refine_contract():
-    rho = linear_growth(1)
+    rho = GrowthFunction(1)
     rng = np.random.default_rng(909)
     n = 4
     for _ in range(100):
@@ -229,7 +238,7 @@ def test_accept_09_rank_refine_contract():
 def planted_run():
     B, A = planted_n3()
     cfg = RunConfig(seed=0)
-    cells, report = cylinder_decompose(A, 0.4, linear_growth(1), cfg, p=P, n=3)
+    cells, report = cylinder_decompose(A, 0.4, GrowthFunction(1), cfg, p=P, n=3)
     return A, cells, report
 
 
@@ -248,7 +257,7 @@ def test_accept_10_cli_planted_recovery(tmp_path, planted_run):
 def test_accept_10_cells_are_pure_and_chains_valid(planted_run):
     A, cells, _ = planted_run
     g = group(P, 3)
-    validate_cells(cells, linear_growth(1), g.size)
+    validate_cells(cells, GrowthFunction(1), g.size)
     for c in cells:
         assert c.density in (0.0, 1.0)
 
@@ -256,7 +265,7 @@ def test_accept_10_cells_are_pure_and_chains_valid(planted_run):
 def test_accept_10_assemble_recovers_exactly():
     B, A = planted_n3()
     cfg = RunConfig(seed=0)
-    Bout, Y, report = assemble_main(A, 0.4, linear_growth(1), cfg, p=P, n=3)
+    Bout, Y, report = assemble_main(A, 0.4, GrowthFunction(1), cfg, p=P, n=3)
     assert report["sym_diff"] == 0
     assert np.array_equal(Y, A)
 
@@ -287,13 +296,13 @@ def test_accept_11_energy_accounting_random_runs():
         rng = np.random.default_rng(seed)
         A = rng.random(g.size) < 0.5
         cfg = RunConfig(seed=seed)
-        cells, report = cylinder_decompose(A, 0.3, linear_growth(1), cfg,
+        cells, report = cylinder_decompose(A, 0.3, GrowthFunction(1), cfg,
                                            p=P, n=3)
         trace = report["trace"]
         if trace:
             any_steps += 1
             check_energy_trace(trace)
-        validate_cells(cells, linear_growth(1), g.size)
+        validate_cells(cells, GrowthFunction(1), g.size)
     assert any_steps >= 5  # delta=0.3 forces real work on most seeds
 
 

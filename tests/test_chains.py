@@ -1,15 +1,16 @@
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
-from quadreg.chains import (GrowthFunction, all_strings,
-                            corollary_chain_bound, disc, f_sigma, f_table,
-                            linear_growth, ones_count, poly_growth, tau,
-                            tau_closed_bound, validate_chain)
-from quadreg.factors import QuadraticFactor, rho_matrix_delete, trivial_factor
+from quadreg.chains import (GrowthFunction, corollary_chain_bound, disc,
+                            f_sigma, f_table, tau, tau_closed_bound,
+                            validate_chain)
+from quadreg.factors import QuadraticFactor, rho_matrix_delete
+from quadreg.verify import CHAIN_RHOS
 
-RHOS = [linear_growth(1), linear_growth(2), poly_growth(1, 2), poly_growth(3, 2)]
+RHOS = [rho for rho, _, _ in CHAIN_RHOS]
 
 
 def test_growth_parse_describe():
@@ -17,7 +18,7 @@ def test_growth_parse_describe():
         r = GrowthFunction.parse(text)
         assert GrowthFunction.parse(r.describe()) == r
     assert GrowthFunction.parse("poly:3,2")(2) == 12
-    assert linear_growth(2)(Fraction(5, 2)) == 5
+    assert GrowthFunction(2)(Fraction(5, 2)) == 5
     with pytest.raises(ValueError):
         GrowthFunction.parse("exp:2")
 
@@ -25,6 +26,14 @@ def test_growth_parse_describe():
 def test_growth_linear_is_poly_degree_one():
     assert GrowthFunction.parse("linear:2") == GrowthFunction.parse("poly:2,1")
     assert GrowthFunction.parse("poly:2,1").describe() == "linear:2"
+
+
+def test_growth_constructor_normalizes():
+    # C is always a Fraction and d an int, so equal functions compare equal
+    assert GrowthFunction(1) == GrowthFunction(Fraction(1), 1)
+    assert GrowthFunction("3/2", 2) == GrowthFunction.parse("poly:3/2,2")
+    rho = GrowthFunction(3, 2)
+    assert type(rho.C) is Fraction and type(rho.d) is int
 
 
 @pytest.mark.parametrize("text", ["linear:1/0", "poly:1/0,2", "poly:1,-1",
@@ -36,7 +45,6 @@ def test_growth_parse_rejects(text):
 
 def test_disc_and_ones():
     assert disc((1, 1, -1)) == 1
-    assert ones_count((1, 1, -1)) == 2
     assert disc(()) == 0
     with pytest.raises(AssertionError):
         disc((1, 0))
@@ -44,7 +52,7 @@ def test_disc_and_ones():
 
 def test_tau_worked_example():
     # [DERIVED] spec worked example: rho(z) = 2z gives tau_2(5,3) = 67
-    rho = linear_growth(2)
+    rho = GrowthFunction(2)
     assert tau(rho, 0, 5, 3) == 5
     assert tau(rho, 1, 5, 3) == 21
     assert tau(rho, 2, 5, 3) == 67
@@ -52,15 +60,17 @@ def test_tau_worked_example():
 
 def test_f_sigma_worked_example():
     # [DERIVED] spec worked example: rho(z) = z, sigma = (1,1,-1) -> (6,1)
-    assert f_sigma(linear_growth(1), (1, 1, -1)) == (6, 1)
-    assert f_sigma(linear_growth(1), ()) == (0, 0)
-    assert f_sigma(linear_growth(1), (1,)) == (1, 1)
+    rho = GrowthFunction(1)
+    assert f_sigma(rho, (1, 1, -1)) == (6, 1)
+    assert f_sigma(rho, ()) == (0, 0)
+    assert f_sigma(rho, (1,)) == (1, 1)
 
 
 def test_f_table_matches_f_sigma():
     for rho in RHOS:
         table = f_table(rho, 8)
-        assert list(table) == [s for m in range(9) for s in all_strings(m)]
+        assert list(table) == [s for m in range(9)
+                               for s in product((-1, 1), repeat=m)]
         assert all(table[s] == f_sigma(rho, s) for s in table)
     assert f_table(RHOS[0], 0) == {(): (0, 0)}
     assert f_table(RHOS[0], -1) == {}
@@ -97,8 +107,8 @@ def test_closed_bounds_monotone_sanity():
 def build_sample_chain():
     # trivial -> add (v, M) -> add M2 -> delete under rho(x)=3x
     p, n = 3, 3
-    rho = linear_growth(3)
-    B0 = trivial_factor(p, n)
+    rho = GrowthFunction(3)
+    B0 = QuadraticFactor(p, n)
     B1 = QuadraticFactor(p, n, [(1, 0, 0)], [np.diag([1, 1, 1]).tolist()])
     B2 = QuadraticFactor(p, n, [(1, 0, 0)],
                          [np.diag([1, 1, 1]).tolist(), np.diag([1, 1, 0]).tolist()])
@@ -122,9 +132,4 @@ def test_validate_chain_rejects_tampering():
 
 
 def test_validate_chain_empty():
-    assert validate_chain(linear_growth(1), (), [trivial_factor(3, 2)])
-
-
-def test_all_strings_count():
-    assert sum(1 for _ in all_strings(4)) == 16
-    assert list(all_strings(0)) == [()]
+    assert validate_chain(GrowthFunction(1), (), [QuadraticFactor(3, 2)])

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadreg import gf, verify
-from quadreg.chains import linear_growth
+from quadreg.chains import GrowthFunction
 from quadreg.factors import (QuadraticFactor, factor_rank,
                              find_low_rank_combination, rank_refine, refines,
-                             rho_matrix_delete, trivial_factor)
+                             rho_matrix_delete)
 from quadreg.io import factor_from_dict, factor_to_dict
 from quadreg.generators import random_factor
 
@@ -80,7 +80,7 @@ def test_bq_tables_match_scalar(Q):
 
 
 def test_factor_rank_trivial_and_single():
-    assert factor_rank(trivial_factor(3, 4)) == 4
+    assert factor_rank(QuadraticFactor(3, 4)) == 4
     B = QuadraticFactor(3, 2, [], [[[1, 2], [2, 1]]])
     assert B.rank() == 1
 
@@ -107,7 +107,7 @@ def test_rank_refine_spec_example():
     # rho(x) = 3x.  rank(diag(1,1,0,0)) = 2 < rho(1) = 3, so the matrix is
     # deleted and L picks up the 2-dimensional row space: complexity (2,0).
     B = QuadraticFactor(3, 4, [], [np.diag([1, 1, 0, 0]).tolist()])
-    rho = linear_growth(3)
+    rho = GrowthFunction(3)
     B2, deletions, feasible = rank_refine(B, rho)
     assert B2.complexity() == (2, 0)
     assert deletions == 1
@@ -117,17 +117,17 @@ def test_rank_refine_spec_example():
 
 def test_rank_refine_noop_when_high_rank():
     B = QuadraticFactor(3, 2, [], [[[1, 0], [0, 1]]])  # rank 2
-    B2, deletions, feasible = rank_refine(B, linear_growth(1))
+    B2, deletions, feasible = rank_refine(B, GrowthFunction(1))
     assert B2 == B and deletions == 0 and feasible is True
 
 
 def test_rho_matrix_delete_guards():
     with pytest.raises(ValueError):
-        rho_matrix_delete(trivial_factor(3, 2), linear_growth(1))
+        rho_matrix_delete(QuadraticFactor(3, 2), GrowthFunction(1))
     B = QuadraticFactor(3, 2, [], [[[1, 0], [0, 1]]])
-    assert find_low_rank_combination(B, linear_growth(1)) is None
+    assert find_low_rank_combination(B, GrowthFunction(1)) is None
     with pytest.raises(ValueError):
-        rho_matrix_delete(B, linear_growth(1))
+        rho_matrix_delete(B, GrowthFunction(1))
 
 
 def test_delete_keeps_low_rank_information():
@@ -135,7 +135,7 @@ def test_delete_keeps_low_rank_information():
     # forms, so the refined factor refines the original
     B = QuadraticFactor(3, 3, [], [np.diag([1, 0, 0]).tolist(),
                                    np.diag([0, 1, 0]).tolist()])
-    rho = linear_growth(2)  # demand rank >= 4 > n: everything is low-rank
+    rho = GrowthFunction(2)  # demand rank >= 4 > n: everything is low-rank
     B2 = rho_matrix_delete(B, rho)
     assert B2.q == B.q - 1
     assert refines(B2, B)
@@ -149,7 +149,7 @@ def test_refines_basic():
     coarse_q = QuadraticFactor(3, 2, [], [[[1, 0], [0, 1]]])
     assert refines(B, coarse_l)
     assert refines(B, coarse_q)
-    assert refines(B, trivial_factor(3, 2))
+    assert refines(B, QuadraticFactor(3, 2))
     assert not refines(coarse_l, coarse_q)
 
 

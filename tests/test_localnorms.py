@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadreg import gowers, localnorms, verify
-from quadreg.factors import QuadraticFactor, trivial_factor
+from quadreg.factors import QuadraticFactor
 from quadreg.generators import random_factor
 from quadreg.gf import group
 from quadreg.localnorms import (DegenerateLabelError, LocalLabelTuple,
@@ -30,7 +30,7 @@ def test_omega_count_hyperplane():
 
 
 def test_omega_count_trivial_factor():
-    B = trivial_factor(3, 2)
+    B = QuadraticFactor(3, 2)
     e = ((), ())
     assert omega_count(B, e) == 9 ** 4
     assert omega_predicted(B) == 9.0 ** 4
@@ -82,7 +82,7 @@ def test_sigma_check_catches_wrong_label(monkeypatch, broken):
 
 
 def test_k222_trivial_factor_is_everything():
-    B = trivial_factor(3, 1)
+    B = QuadraticFactor(3, 1)
     d = trivial_local_label(B)
     mem = k222_members(B, d)
     assert len(mem) == 3 ** 6
@@ -122,7 +122,7 @@ def test_k222_members_respect_labels():
 
 
 def test_fibre_size_trivial():
-    B = trivial_factor(3, 2)
+    B = QuadraticFactor(3, 2)
     assert fibre_size(B, ()) == 81  # all N^2 pairs, no constraint
     B2 = QuadraticFactor(3, 1, [], [[[1]]])
     total = sum(fibre_size(B2, (v,)) for v in range(3))
@@ -133,7 +133,7 @@ def test_trivial_norms_equal():
     p, n = 3, 2
     g = group(p, n)
     f = np.random.default_rng(0).uniform(-1, 1, size=g.size)
-    B = trivial_factor(p, n)
+    B = QuadraticFactor(p, n)
     u3 = gowers.u3_eighth_fast(f, g) / p ** (4 * n)
     p8 = norm_P_eighth(f, B, ((), ()))
     tw8 = norm_TW_eighth(f, B, trivial_local_label(B))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quadreg import factors, regularity, verify
-from quadreg.chains import linear_growth
+from quadreg.chains import GrowthFunction
 from quadreg.factors import QuadraticFactor
 from quadreg.generators import generate_set, random_factor
 from quadreg.gf import group
@@ -107,14 +107,24 @@ def test_witness_achieves_reported_correlation(monkeypatch, n, search):
     if search == "randomized":
         monkeypatch.setattr(regularity, "EXHAUSTIVE_CAP", 0)
     g = group(3, n)
+    everything = np.arange(g.size)
     A = generate_set("random", {}, 0, 3, n)  # no atom of B is pure
     B = QuadraticFactor(3, n, [(1,) + (0,) * (n - 1)], [])
+    # the translate by e0 of a level set of x^T Q x = 2 x0 x1: its best phase
+    # has an x0 x1 term and a linear term, so halving x0 x1 or not shows
+    Q = np.zeros((n, n), dtype=int)
+    Q[0, 1] = Q[1, 0] = 1
+    V = QuadraticFactor(3, n, [], [Q.tolist()]).atom_indicator(((), (1,)))
+    V = V[g.add[everything, g.neg[1]]]
     rng = np.random.default_rng(0)
-    for members in [np.arange(g.size)] + atom_parts(B):
+    cells = [(A, m) for m in [everything] + atom_parts(B)] + [(V, everything)]
+    for S, members in cells:
         f = np.zeros(g.size)
-        f[members] = A[members] - A[members].mean()
+        f[members] = S[members] - S[members].mean()
         wit = inverse_oracle(f, g, members, 0.01, RunConfig(), rng)
         assert wit is not None
+        if S is V:
+            assert wit.M[0][1] != 0 and any(wit.r)
         got = correlation(f, g, members, wit.M, wit.r)
         assert abs(got - wit.correlation) <= 1e-12
 
@@ -123,8 +133,8 @@ def test_cylinder_planted_recovery_small():
     g = group(3, 2)
     A = planted_set()
     cfg = RunConfig(seed=0)
-    cells, report = cylinder_decompose(A, 0.4, linear_growth(1), cfg, p=3, n=2)
-    validate_cells(cells, linear_growth(1), g.size)
+    cells, report = cylinder_decompose(A, 0.4, GrowthFunction(1), cfg, p=3, n=2)
+    validate_cells(cells, GrowthFunction(1), g.size)
     # planted atom union is recovered: every cell is 0/1 dense
     for c in cells:
         assert c.density in (0.0, 1.0)
@@ -139,14 +149,14 @@ def test_cylinder_budget_exceeded():
     A = planted_set()
     cfg = RunConfig(seed=0, max_steps=0)
     with pytest.raises(BudgetExceeded):
-        cylinder_decompose(A, 0.4, linear_growth(1), cfg, p=3, n=2)
+        cylinder_decompose(A, 0.4, GrowthFunction(1), cfg, p=3, n=2)
 
 
 def test_global_decompose_terminates():
     g = group(3, 2)
     A = planted_set()
     cfg = RunConfig(seed=0)
-    B, report = global_decompose(A, 0.4, linear_growth(1), cfg, p=3, n=2)
+    B, report = global_decompose(A, 0.4, GrowthFunction(1), cfg, p=3, n=2)
     assert report["nonuniform_mass"] <= 0.4 * g.size
     assert B.rank() >= 1 or B.q == 0
 
@@ -155,7 +165,7 @@ def test_assemble_main_recovers_planted():
     g = group(3, 2)
     A = planted_set()
     cfg = RunConfig(seed=0)
-    B, Y, report = assemble_main(A, 0.4, linear_growth(1), cfg, p=3, n=2)
+    B, Y, report = assemble_main(A, 0.4, GrowthFunction(1), cfg, p=3, n=2)
     assert report["sym_diff"] == 0
     assert np.array_equal(Y, A)
 
@@ -164,7 +174,7 @@ def test_assemble_main_recovers_planted():
 @pytest.mark.parametrize("seed", [2, 4, 5])
 def test_assemble_main_takes_atom_majority(seed):
     A = generate_set("random", {}, seed, 3, 3)
-    B, Y, report = assemble_main(A, 0.3, linear_growth(1), RunConfig(seed=0),
+    B, Y, report = assemble_main(A, 0.3, GrowthFunction(1), RunConfig(seed=0),
                                  p=3, n=3)
     for part in atom_parts(B):
         majority = 2 * np.count_nonzero(A[part]) > len(part)
@@ -177,7 +187,7 @@ def test_uniform_set_stops_immediately():
     g = group(3, 2)
     rng = np.random.default_rng(1)
     A = rng.random(g.size) < 0.5
-    cells, report = cylinder_decompose(A, 0.9, linear_growth(1),
+    cells, report = cylinder_decompose(A, 0.9, GrowthFunction(1),
                                        RunConfig(seed=1), p=3, n=2)
     assert len(cells) == 1
     assert report["trace"] == []
@@ -185,7 +195,7 @@ def test_uniform_set_stops_immediately():
 
 def _n3_cylinder_run(seed):
     A = generate_set("random", {}, seed, 3, 3)
-    cells, report = cylinder_decompose(A, 0.3, linear_growth(1),
+    cells, report = cylinder_decompose(A, 0.3, GrowthFunction(1),
                                        RunConfig(seed=0), p=3, n=3)
     return A, cells, report
 
@@ -200,7 +210,7 @@ def test_factor_rank_once_per_factor(monkeypatch):
 
     monkeypatch.setattr(factors, "factor_rank", counting)
     A, cells, report = _n3_cylinder_run(0)  # two steps of each kind
-    validate_cells(cells, linear_growth(1), A.size)
+    validate_cells(cells, GrowthFunction(1), A.size)
     assert {t.kind for t in report["trace"]} == {1, -1}
     assert calls and all(count == 1 for _, count in calls.values())
 

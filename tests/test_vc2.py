@@ -11,12 +11,9 @@ from quadreg.gf import group
 
 def test_baselines_empty_and_full():
     g = group(3, 2)
-    empty = np.zeros(g.size, dtype=bool)
-    full = np.ones(g.size, dtype=bool)
-    assert vc2.vc_dim(empty, g) == 0
-    assert vc2.vc_dim(full, g) == 0
-    assert vc2.vc2_dim(empty, g) == (0, False)
-    assert vc2.vc2_dim(full, g) == (0, False)
+    assert verify.vc2_baselines(g) is None
+    assert vc2.vc_dim(np.zeros(g.size, dtype=bool), g) == 0
+    assert vc2.vc_dim(np.ones(g.size, dtype=bool), g) == 0
 
 
 def test_vc_at_least_monotone():
@@ -25,8 +22,8 @@ def test_vc_at_least_monotone():
     A = B.atom_indicator(((), (1,)))
     k = vc2.vc_dim(A, g, 3)
     for j in range(1, k + 1):
-        assert vc2.vc_dim_at_least(A, g, j)
-    assert not vc2.vc_dim_at_least(A, g, k + 1) or k == 3
+        assert vc2.vc_dim_at_least(A, g, j)[0]
+    assert k == 3 or vc2.vc_dim_at_least(A, g, k + 1) == (False, None)
 
 
 def test_vc2_early_false_when_patterns_exceed_group():
@@ -35,7 +32,7 @@ def test_vc2_early_false_when_patterns_exceed_group():
     g = group(3, 2)
     rng = np.random.default_rng(0)
     A = rng.random(g.size) < 0.5
-    assert not vc2.vc2_dim_at_least(A, g, 2)
+    assert vc2.vc2_dim_at_least(A, g, 2) == (False, None)
     v, saturated = vc2.vc2_dim(A, g, 2)
     assert v <= 1 and saturated is False
 
@@ -52,7 +49,7 @@ def test_witness_shape():
     g = group(3, 3)
     B = QuadraticFactor(3, 3, [], [np.eye(3, dtype=int).tolist()])
     A = B.atom_indicator(((), (2,)))
-    ok, wit = vc2.vc2_dim_at_least(A, g, 1, witness=True)
+    ok, wit = vc2.vc2_dim_at_least(A, g, 1)
     assert ok
     a, b, c_by_pattern = wit
     assert len(a) == 1 and len(b) == 1
@@ -126,7 +123,7 @@ def test_batched_search_matches_reference(n):
     g = group(3, n)
     for name, A in _sets(n):
         for k in range(4):
-            assert vc2.vc_dim_at_least(A, g, k, witness=True) == \
+            assert vc2.vc_dim_at_least(A, g, k) == \
                 vc_dim_at_least_ref(A, g, k), (name, k)
-            assert vc2.vc2_dim_at_least(A, g, k, witness=True) == \
+            assert vc2.vc2_dim_at_least(A, g, k) == \
                 vc2_dim_at_least_ref(A, g, k), (name, k)
