@@ -6,14 +6,15 @@ Each mutation is one source patch (a file under src/quadreg, a text that
 occurs there exactly once, and its replacement) with the test ids that must
 catch it.  For each, src/ and tests/ are copied into a temporary directory,
 the patch is applied there, and only the named tests run.  A mutation is
-caught when at least one of them fails.  Before that, the named tests run
-once on the unpatched copy and must all pass.  The working tree is never
-edited.
+caught when every one of them fails, so each named test is shown to catch
+its patch.  Before that, the named tests run once on the unpatched copy and
+must all pass.  The working tree is never edited.
 
     python3 scripts/mutation_check.py
 
-Exit status: 0 when every mutation is caught, 1 when one survives, 2 when a
-patch no longer applies, a test id is unknown or the unpatched tests fail.
+Exit status: 0 when every mutation is caught, 1 when a named test still
+passes under its patch (each such test is named), 2 when a patch no longer
+applies, a test id is unknown or the unpatched tests fail.
 It also exits 2 when a check of quadreg.verify has no mutation and is not
 in UNFAILABLE.  It takes about a minute.
 """
@@ -116,6 +117,12 @@ MUTATIONS = [
              ("tests/test_acceptance.py::test_accept_08_pythagoras_100_random",
               "tests/test_regularity.py::test_pythagoras_exact_random",
               VERIFY_QUICK)),
+    Mutation("u3 fast = naive", "the naive cube sums square the sums over h_1, "
+             "not over x", "gowers.py", "t.sum(axis=0)", "t.sum(axis=1)",
+             ("tests/test_gowers.py::test_u3_fast_matches_naive",
+              "tests/test_gowers.py::test_u2_fourier_matches_naive",
+              "tests/test_gowers.py::test_naive_sums_match_literal_loop",
+              VERIFY_QUICK)),
     Mutation("u3 fast = naive", "u3_eighth_fast divides each h's term by |G|",
              "gowers.py", "total += u2_fourth(g, grp)\n",
              "total += u2_fourth(g, grp) / grp.size\n",
@@ -172,6 +179,12 @@ def failures(output: str) -> list:
             if line.startswith(("FAILED ", "ERROR "))]
 
 
+def passing(tests, failed) -> list:
+    """The ids in `tests` none of whose parametrizations is in `failed`."""
+    return [t for t in tests
+            if not any(f == t or f.startswith(t + "[") for f in failed)]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.parse_args(argv)
@@ -202,16 +215,17 @@ def main(argv=None) -> int:
                 return 2
             path.write_text(text.replace(m.old, m.new))
             code, out = run_tests(tree, m.tests)
-            if code == 1:
-                failed = failures(out)
-                print(f"caught    {m.target}: {m.name}; {len(failed)} of "
-                      f"{len(m.tests)} tests fail: {', '.join(failed)}")
-            elif code == 0:
-                survived += 1
-                print(f"SURVIVED  {m.target}: {m.name}; {len(m.tests)} tests pass")
-            else:
+            if code not in (0, 1):
                 print(f"pytest exit {code} on {m.target}: {m.name}:\n{out}")
                 return 2
+            missed = passing(m.tests, failures(out))
+            if missed:
+                survived += 1
+                print(f"SURVIVED  {m.target}: {m.name}; {len(missed)} of "
+                      f"{len(m.tests)} tests pass: {', '.join(missed)}")
+            else:
+                print(f"caught    {m.target}: {m.name}; {len(m.tests)} of "
+                      f"{len(m.tests)} tests fail")
             shutil.rmtree(tree)
     return 1 if survived else 0
 

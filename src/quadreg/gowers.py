@@ -3,6 +3,9 @@ DFT-accelerated engine.
 
 All "norms" here are the unnormalized eighth/fourth power sums, e.g.
 u3_eighth_naive(f) = sum over (x,h1,h2,h3) in G^4 of the 8-point cube product.
+The naive sums take the last direction in closed form: for real f the cube
+product on (x, h1..hd) is D(x) D(x + hd), D the product on (x, h1..h(d-1)),
+so the sum over (x, hd) is (sum_x D(x))^2 and only G^d is enumerated.
 Indicator (integer-valued) inputs go through exact int64 accumulation so the
 identity tests are exact; real inputs use float64.
 """
@@ -15,7 +18,7 @@ import numpy as np
 
 from .gf import Group
 
-NAIVE_CAP = 10 ** 7  # refuse G^4 enumerations beyond this many tuples
+NAIVE_CAP = 10 ** 7  # refuse cube sums over more (x, h_1..h_d) tuples than this
 
 
 def as_values(f, grp: Group) -> np.ndarray:
@@ -42,18 +45,19 @@ def cube_points(grp: Group, x, *hs):
 
 
 def _cube_sum_naive(f, grp: Group, d: int, name: str):
-    """Sum over (x, h_1..h_d) in G^(d+1) of the 2^d-point cube product,
-    broadcast over the addition table."""
+    """Sum over (x, h_1..h_d) in G^(d+1) of the 2^d-point cube product: the
+    2^(d-1)-point products on (x, h_1..h_(d-1)), broadcast over the addition
+    table, summed over x and squared (the closed-form sum over h_d)."""
     v = as_values(f, grp)
     N = grp.size
     if N ** (d + 1) > NAIVE_CAP:
         raise ValueError(f"{name}: enumeration too large")
     v, cast = _exact(v)
-    pts = cube_points(grp, *np.ix_(*[np.arange(N)] * (d + 1)))
-    t = np.ones((N,) * (d + 1), dtype=v.dtype)
+    pts = cube_points(grp, *np.ix_(*[np.arange(N)] * d))
+    t = np.ones((N,) * d, dtype=v.dtype)
     for pt in pts:
         t *= v[pt]
-    return cast(t.sum())
+    return cast((t.sum(axis=0) ** 2).sum())
 
 
 def u2_fourth_naive(f, grp: Group):
@@ -61,7 +65,8 @@ def u2_fourth_naive(f, grp: Group):
 
 
 def u3_eighth_naive(f, grp: Group):
-    """Direct sum over G^4 (broadcast over the addition table)."""
+    """Sum over G^4, with the last direction h3 in closed form:
+    sum_{h1,h2} (sum_x f(x) f(x+h1) f(x+h2) f(x+h1+h2))^2."""
     return _cube_sum_naive(f, grp, 3, "u3_eighth_naive")
 
 

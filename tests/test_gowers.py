@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +20,39 @@ def test_cube_points_are_subset_sums(d):
         want = g.coords[x] + sum(g.coords[h] for i, h in enumerate(hs)
                                  if S >> i & 1)
         assert np.array_equal(g.coords[pt], want % g.p)
+
+
+def literal_cube_sum(f, g, d):
+    """The definition: sum over every (x, h_1..h_d) in G^(d+1) of the product
+    of f over the 2^d vertices x + sum_{i in S} h_i, one scalar add at a time."""
+    total = 0
+    for x, *hs in product(range(g.size), repeat=d + 1):
+        pts = [x]
+        for h in hs:
+            pts += [int(g.add[pt, h]) for pt in pts]
+        term = 1
+        for pt in pts:
+            term *= f[pt]
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("kind", ["int", "float"])
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1)])
+def test_naive_sums_match_literal_loop(p, n, kind):
+    g = group(p, n)
+    rng = np.random.default_rng(p * 10 + n)
+    for _ in range(3):
+        if kind == "int":
+            f = rng.integers(-2, 3, size=g.size)
+        else:
+            f = rng.uniform(-1, 1, size=g.size)
+        for fn, d in [(gowers.u2_fourth_naive, 2), (gowers.u3_eighth_naive, 3)]:
+            got, want = fn(f, g), literal_cube_sum(f.tolist(), g, d)
+            if kind == "int":
+                assert isinstance(got, int) and got == want
+            else:
+                assert abs(got - want) <= 1e-12 * abs(want)
 
 
 @given(st.integers(0, 10 ** 9), st.sampled_from([(3, 1), (3, 2), (5, 1)]))
