@@ -67,6 +67,14 @@ MUTATIONS = [
              ("tests/test_acceptance.py::"
               "test_accept_03_constraints_equivalence_exhaustive_n2",
               VERIFY_QUICK)),
+    Mutation("constraints_equivalence", "the constraint test labels a tuple "
+             "by h1's atom, not x's", "localnorms.py",
+             "np.where(ok, B.label_codes()[X], -1)",
+             "np.where(ok, B.label_codes()[H1], -1)",
+             ("tests/test_acceptance.py::"
+              "test_accept_03_constraints_equivalence_exhaustive_n2",
+              "tests/test_localnorms.py::test_omega_codes_count_every_label",
+              VERIFY_QUICK)),
     Mutation("omega_identity", "omega_count is off by one", "localnorms.py",
              "        total += int(np.einsum(\"ab,ac,bc->\", P, P, P))\n"
              "    return total\n",
@@ -94,6 +102,12 @@ MUTATIONS = [
              "table[s + (-1,)] = (a - rho(a + b), b - 1)",
              ("tests/test_acceptance.py::test_accept_07_seq4_closed_form_bounds[0]",
               VERIFY_QUICK)),
+    Mutation("chain recursions", "GrowthFunction drops the fraction of a "
+             "non-integral C", "chains.py",
+             "c = self.C.numerator if self.C.denominator == 1 else self.C",
+             "c = self.C.numerator",
+             ("tests/test_chains.py::test_non_integral_growth_stays_fractional",
+              "tests/test_chains.py::test_recursions_match_fraction_reference")),
     Mutation("vc2_baselines", "the VC/VC2 search starts its count at 1", "vc2.py",
              "    best, wit = 0, None\n", "    best, wit = 1, None\n",
              ("tests/test_acceptance.py::test_accept_12_vc2_baselines",

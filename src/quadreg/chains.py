@@ -1,9 +1,11 @@
 """Binary strings, discrepancy, the tau / f_sigma recursions, growth
 functions, chain validation and the closed-form complexity bounds.
 
-Everything here is exact: growth functions with rational parameters are
-evaluated in fractions.Fraction so the exhaustive lemma sweeps have no
-float drift.
+Everything here is exact, with no float drift in the exhaustive lemma
+sweeps.  One rule keeps it fast: a rational constant that is an integer
+(C in a growth function, 2C in the corollary's bound) is used as an int, so
+the recursions run on ints; any other constant stays a fractions.Fraction
+and so does every value it touches.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ class GrowthFunction:
         object.__setattr__(self, "d", int(self.d))
 
     def __call__(self, x):
-        return self.C * x ** self.d
+        c = self.C.numerator if self.C.denominator == 1 else self.C
+        return c * x ** self.d
 
     def describe(self) -> str:
         return f"linear:{self.C}" if self.d == 1 else f"poly:{self.C},{self.d}"
@@ -51,7 +54,8 @@ class GrowthFunction:
 
 def disc(s) -> int:
     """Sum of the +-1 entries."""
-    assert all(b in (-1, 1) for b in s)
+    if not all(b in (-1, 1) for b in s):
+        raise ValueError("string entries must be +-1")
     return sum(s)
 
 
@@ -61,16 +65,15 @@ def tau(rho, i: int, x, y):
     """tau_0(x,y) = x; tau_{j+1}(x,y) = tau_j + rho(tau_j + y - j)."""
     if i < 0:
         raise ValueError("i must be >= 0")
-    t = Fraction(x) if isinstance(x, int) else x
     for j in range(i):
-        t = t + rho(t + y - j)
-    return t
+        x = x + rho(x + y - j)
+    return x
 
 
 def f_sigma(rho, s):
     """f_<> = (0,0); appending +1 gives (a+1, b+1); appending -1 gives
     (a + rho(a+b), b-1)."""
-    a, b = Fraction(0), Fraction(0)
+    a, b = 0, 0
     for bit in s:
         if bit == 1:
             a, b = a + 1, b + 1
@@ -85,7 +88,7 @@ def f_table(rho, length: int) -> dict:
     """f_sigma for every string of length <= length, shorter strings first,
     each length in product((-1, 1), repeat=m) order; each entry extends its
     parent prefix by one step of the recursion."""
-    table = {(): (Fraction(0), Fraction(0))}
+    table = {(): (0, 0)}
     level = [()]
     for _ in range(length):
         nxt = []
@@ -111,7 +114,9 @@ def corollary_chain_bound(C, d: int, m: int, k: int):
     if not (1 <= m and 0 <= k <= m):
         raise ValueError("need m >= 1 and 0 <= k <= m")
     e = d ** (m - k)
-    lbound = (Fraction(2) * C) ** ((m - k) * e) * Fraction(2 * k) ** e
+    c2 = 2 * Fraction(C)
+    c2 = c2.numerator if c2.denominator == 1 else c2
+    lbound = c2 ** ((m - k) * e) * (2 * k) ** e
     return lbound, 2 * k - m
 
 

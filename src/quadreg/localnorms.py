@@ -61,29 +61,32 @@ def sigma_label(B: QuadraticFactor, d: LocalLabelTuple):
 
 # -- Omega_B -----------------------------------------------------------------
 
-def omega_member_definitional_bulk(B, e, X, H1, H2, H3) -> np.ndarray:
-    code = B.label_to_code(e)
+def omega_code_definitional_bulk(B, X, H1, H2, H3) -> np.ndarray:
+    """For each tuple: the label code of the atom holding all 8 cube points,
+    or -1 when no atom holds them all; (x,h1,h2,h3) is in Omega_{B(e)}
+    exactly when its code is B.label_to_code(e)."""
     lc = B.label_codes()
     pts = gowers.cube_points(B.grp, X, H1, H2, H3)
-    ok = np.ones(np.shape(pts[0]), dtype=bool)
-    for pt in pts:
-        ok &= lc[pt] == code
-    return ok
+    code = lc[pts[0]]
+    for pt in pts[1:]:
+        code = np.where(lc[pt] == code, code, -1)
+    return code
 
 
-def omega_member_constraints_bulk(B, e, X, H1, H2, H3) -> np.ndarray:
-    """x in B(e); each h in L(0) with 2 beta_Q(x,h) + beta_Q(h,h) = 0, which
-    is beta_Q(2x+h, h) = 0 by bilinearity; beta_Q(h_a, h_b) = 0 pairwise."""
+def omega_code_constraints_bulk(B, X, H1, H2, H3) -> np.ndarray:
+    """For each tuple: the label code of x when each h is in L(0) with
+    2 beta_Q(x,h) + beta_Q(h,h) = 0, which is beta_Q(2x+h, h) = 0 by
+    bilinearity, and beta_Q(h_a, h_b) = 0 pairwise; -1 otherwise."""
     X = np.asarray(X)
     add, bq = B.grp.add, B.bq_tables()
-    ok = B.label_codes()[X] == B.label_to_code(e)
     lin0 = _linear_zero_mask(B)
     Hs = [np.asarray(H) for H in (H1, H2, H3)]
+    ok = np.ones(np.shape(X), dtype=bool)
     for H in Hs:
         ok &= lin0[H] & _h_constraint(add, bq, X, H)
     for a, b in ((0, 1), (0, 2), (1, 2)):
         ok &= bq[Hs[a], Hs[b]] == 0
-    return ok
+    return np.where(ok, B.label_codes()[X], -1)
 
 
 def _linear_zero_mask(B: QuadraticFactor) -> np.ndarray:

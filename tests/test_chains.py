@@ -46,7 +46,7 @@ def test_growth_parse_rejects(text):
 def test_disc_and_ones():
     assert disc((1, 1, -1)) == 1
     assert disc(()) == 0
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         disc((1, 0))
 
 
@@ -74,6 +74,42 @@ def test_f_table_matches_f_sigma():
         assert all(table[s] == f_sigma(rho, s) for s in table)
     assert f_table(RHOS[0], 0) == {(): (0, 0)}
     assert f_table(RHOS[0], -1) == {}
+
+
+def test_non_integral_growth_stays_fractional():
+    # rho(z) = 3/2 z^2: (1, 1) -> (1 + 3/2 * 4, 0) -> (7 + 3/2 * 49, -1)
+    rho = GrowthFunction(Fraction(3, 2), 2)
+    assert f_sigma(rho, (1, -1, -1)) == (Fraction(161, 2), -1)
+
+
+def test_recursions_match_fraction_reference():
+    # the int-where-integral rule changes no value: every string up to
+    # length 8 against the recursions written out in Fractions
+    cases = [*CHAIN_RHOS, (GrowthFunction.parse("linear:1/2"), Fraction(1, 2), 1)]
+    for rho, C, d in cases:
+        def ref_rho(x):
+            return Fraction(rho.C) * Fraction(x) ** rho.d
+
+        table = f_table(rho, 8)
+        ref = {(): (Fraction(0), Fraction(0))}
+        for m in range(1, 9):
+            for s in product((-1, 1), repeat=m):
+                a, b = ref[s[:-1]]
+                ref[s] = ((a + 1, b + 1) if s[-1] == 1
+                          else (a + ref_rho(a + b), b - 1))
+        assert table == ref
+        if rho.C.denominator == 1:
+            assert all(type(v) is int for ab in table.values() for v in ab)
+        for m in range(1, 9):
+            for k in range(m + 1):
+                t = Fraction(k)
+                for j in range(m - k):
+                    t += ref_rho(t + k - j)
+                assert tau(rho, m - k, k, k) == t
+                for c in (C, C / 3):
+                    e = d ** (m - k)
+                    want = (2 * Fraction(c)) ** ((m - k) * e) * Fraction(2 * k) ** e
+                    assert corollary_chain_bound(c, d, m, k) == (want, 2 * k - m)
 
 
 def test_f_sigma_all_ones_prefix():

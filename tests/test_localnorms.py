@@ -51,7 +51,23 @@ def test_omega_members_match_count():
         assert len(mem) == omega_count(B, e)
         assert len(set(mem)) == len(mem)
         for (x, h1, h2, h3) in mem[:50]:
-            assert localnorms.omega_member_definitional_bulk(B, e, x, h1, h2, h3)
+            assert (localnorms.omega_code_definitional_bulk(B, x, h1, h2, h3)
+                    == B.label_to_code(e))
+
+
+def test_omega_codes_count_every_label():
+    # on all of G^4, each label code occurs |Omega_{B(e)}| times under both
+    # membership tests, and -1 marks every other tuple
+    rng = np.random.default_rng(9)
+    tuples = np.indices((9,) * 4).reshape(4, -1)
+    for _ in range(4):
+        B = random_factor(3, 2, 1, 2, rng)
+        want = [omega_count(B, e) for e in B.all_labels()]
+        for fn in (localnorms.omega_code_definitional_bulk,
+                   localnorms.omega_code_constraints_bulk):
+            codes = fn(B, *tuples)
+            assert np.bincount(codes[codes >= 0], minlength=len(want)).tolist() == want
+            assert np.all(codes >= -1)
 
 
 @given(st.integers(0, 10 ** 9))
