@@ -141,6 +141,11 @@ MUTATIONS = [
              "gowers.py", "total += u2_fourth(g, grp)\n",
              "total += u2_fourth(g, grp) / grp.size\n",
              ("tests/test_gowers.py::test_u3_fast_matches_naive",)),
+    Mutation("K222 sum", "k222_sum drops the d_bc cross mask", "localnorms.py",
+             "W = v[g.add[x1]][yz] * v[g.add[x2]][yz] * cross",
+             "W = v[g.add[x1]][yz] * v[g.add[x2]][yz]",
+             ("tests/test_localnorms.py::test_tw_matches_definitional_bruteforce",
+              "tests/test_acceptance.py::test_accept_05_k222_sum_matches_members")),
     Mutation("preimage parametrization", "psi_map negates x2 - x1",
              "localnorms.py", "a[x2, neg[x1]], a[y2, neg[y1]]",
              "a[x1, neg[x2]], a[y2, neg[y1]]",

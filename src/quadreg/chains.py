@@ -31,9 +31,6 @@ class GrowthFunction:
         c = self.C.numerator if self.C.denominator == 1 else self.C
         return c * x ** self.d
 
-    def describe(self) -> str:
-        return f"linear:{self.C}" if self.d == 1 else f"poly:{self.C},{self.d}"
-
     @staticmethod
     def parse(text: str) -> "GrowthFunction":
         """`linear:K` or `poly:C,d`, rationals K, C > 0, d >= 0; else ValueError."""
@@ -99,13 +96,6 @@ def f_table(rho, length: int) -> dict:
             nxt += [s + (-1,), s + (1,)]
         level = nxt
     return table if length >= 0 else {}
-
-
-def tau_closed_bound(C, k, i, x, y):
-    """Closed-form domination of tau_i(x,y) for rho(z) <= C z^k (z >= 1),
-    rho(z) >= z: 2^{i k^i} C^{i k^i} (x+y)^{k^i}."""
-    e = k ** i
-    return (Fraction(2) * C) ** (i * e) * Fraction(x + y) ** e
 
 
 def corollary_chain_bound(C, d: int, m: int, k: int):

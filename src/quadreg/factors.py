@@ -66,14 +66,6 @@ class QuadraticFactor:
     def __repr__(self):
         return f"QuadraticFactor(p={self.p}, n={self.n}, l={self.l}, q={self.q})"
 
-    # -- beta maps -----------------------------------------------------------
-
-    def beta_Q(self, x, y):
-        return tuple(gf.bilinear(M, x, y, self.p) for M in self.Q)
-
-    def atom_label_of(self, x):
-        return (tuple(gf.dot(x, r, self.p) for r in self.L), self.beta_Q(x, x))
-
     # -- vectorized label machinery -------------------------------------------
 
     def label_codes(self) -> np.ndarray:
@@ -200,12 +192,3 @@ def rank_refine(B: QuadraticFactor, rho):
             return B, deletions, True
         B = rho_matrix_delete(B, rho)
         deletions += 1
-
-
-def refines(B1: QuadraticFactor, B2: QuadraticFactor) -> bool:
-    """True iff every atom of B1 sits inside a single atom of B2: each B1
-    label code meets exactly one B2 label code."""
-    assert (B1.p, B1.n) == (B2.p, B2.n)
-    c1, c2 = B1.label_codes(), B2.label_codes()
-    pairs = np.unique(np.stack([c1, c2], axis=1), axis=0)
-    return len(pairs) == len(np.unique(c1))

@@ -13,6 +13,9 @@ from functools import lru_cache
 import numpy as np
 
 _SMALL_PRIMES = {3, 5, 7, 11, 13, 17, 19, 23}
+# largest group built: building the add table holds two (p^n, p^n, n) int64
+# arrays, 16 n p^(2n) bytes: 0.5 GB at 3^7, 5.5 GB at 3^8
+MAX_GROUP_SIZE = 3 ** 7
 
 
 def check_odd_prime(p: int) -> None:
@@ -27,6 +30,11 @@ class Group:
         check_odd_prime(p)
         if n < 1:
             raise ValueError("n must be >= 1")
+        # p > 2, so an n past the limit's bit length is past the limit; that
+        # test comes first, so a huge n is never raised to
+        if n > MAX_GROUP_SIZE.bit_length() or p ** n > MAX_GROUP_SIZE:
+            raise ValueError(f"p^n = {p}^{n} exceeds the largest supported "
+                             f"group size {MAX_GROUP_SIZE}")
         self.p = p
         self.n = n
         self.size = p ** n
@@ -124,14 +132,6 @@ def extend_to_independent(L, V, p):
 
 def mat_mul_vec(M, v, p):
     return tuple(sum(mij * vj for mij, vj in zip(row, v)) % p for row in M)
-
-
-def dot(u, v, p):
-    return sum(a * b for a, b in zip(u, v)) % p
-
-
-def bilinear(M, x, y, p):
-    return dot(x, mat_mul_vec(M, y, p), p)
 
 
 def mat_rank_bruteforce(rows, p) -> int:

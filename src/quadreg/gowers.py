@@ -60,10 +60,6 @@ def _cube_sum_naive(f, grp: Group, d: int, name: str):
     return cast((t.sum(axis=0) ** 2).sum())
 
 
-def u2_fourth_naive(f, grp: Group):
-    return _cube_sum_naive(f, grp, 2, "u2_fourth_naive")
-
-
 def u3_eighth_naive(f, grp: Group):
     """Sum over G^4, with the last direction h3 in closed form:
     sum_{h1,h2} (sum_x f(x) f(x+h1) f(x+h2) f(x+h1+h2))^2."""

@@ -99,40 +99,24 @@ def _h_constraint(add, bq, X, H) -> np.ndarray:
     return bq[add[add[X, X], H], H] == 0
 
 
-def _omega_h_sets(B: QuadraticFactor, e):
-    """For each x in B(e): the encoded h's satisfying the single-h
-    constraints, plus the pairwise-orthogonality matrix over those h's."""
-    add, bq = B.grp.add, B.bq_tables()
-    lin0 = np.nonzero(_linear_zero_mask(B))[0]
-    for x in B.enumerate_atom(e):
-        hs = lin0[_h_constraint(add, bq, x, lin0)]
-        yield int(x), hs, bq[np.ix_(hs, hs)] == 0
-
-
 def omega_count(B: QuadraticFactor, e) -> int:
     """|Omega_{B(e)}| by constrained enumeration; equals the eighth-power
-    cube sum of the atom indicator."""
+    cube sum of the atom indicator.  For each x in B(e): the h's in L(0)
+    with the single-h constraint, and the (h1, h2, h3) among them that are
+    pairwise orthogonal, counted as the trace of P^3 for the orthogonality
+    matrix P."""
+    add, bq = B.grp.add, B.bq_tables()
+    lin0 = np.nonzero(_linear_zero_mask(B))[0]
     total = 0
-    for _x, hs, pair_ok in _omega_h_sets(B, e):
-        P = pair_ok.astype(np.int64)
+    for x in B.enumerate_atom(e):
+        hs = lin0[_h_constraint(add, bq, x, lin0)]
+        P = (bq[np.ix_(hs, hs)] == 0).astype(np.int64)
         total += int(np.einsum("ab,ac,bc->", P, P, P))
     return total
 
 
 def omega_predicted(B: QuadraticFactor) -> float:
     return float(B.p) ** (4 * B.n - 4 * B.l - 7 * B.q)
-
-
-def omega_members(B: QuadraticFactor, e):
-    """Explicit list of (x,h1,h2,h3) tuples; tiny instances only."""
-    out = []
-    for x, hs, pair_ok in _omega_h_sets(B, e):
-        # [h1, h2, h3]: all three pairs orthogonal
-        i, j, k = np.nonzero(pair_ok[:, :, None] & pair_ok[:, None, :]
-                             & pair_ok[None, :, :])
-        out.extend((x, *h) for h in zip(hs[i].tolist(), hs[j].tolist(),
-                                        hs[k].tolist()))
-    return out
 
 
 # -- the two local norms -----------------------------------------------------
@@ -165,53 +149,33 @@ def label_sizes(B: QuadraticFactor, d: LocalLabelTuple):
     return sizes, fibres
 
 
-def _k222_slices(B: QuadraticFactor, d: LocalLabelTuple):
-    """For each (x1, x2) in B(d_a)^2: the y in B(d_b) and z in B(d_c) whose
-    pair values with both x1 and x2 are d_ab and d_ac, and the mask of
-    beta_Q(y, z) = d_bc over ys x zs."""
+def k222_sum(f, B: QuadraticFactor, d: LocalLabelTuple):
+    """sum over K222(d) of prod_{i,j,k} f(x_i+y_j+z_k), by constraint
+    propagation: for each pair (x1,x2) in B(d_a)^2, the y in B(d_b) and z in
+    B(d_c) whose pair values with both are d_ab and d_ac give a (y,z) sum
+    ||W W^T||_F^2 for W[y,z] = f-products gated by beta_Q(y, z) = d_bc."""
+    g = B.grp
+    v = gowers.as_values(f, g).astype(np.float64)
     bq = B.bq_tables()
     Xa, Yb, Zc = (B.enumerate_atom(lab) for lab in (d.d_a, d.d_b, d.d_c))
-    ab, ac, bc = (B.pair_code(v) for v in (d.d_ab, d.d_ac, d.d_bc))
+    ab, ac, bc = (B.pair_code(val) for val in (d.d_ab, d.d_ac, d.d_bc))
     in_bc = bq == bc
     y_ok = bq[np.ix_(Xa, Yb)] == ab
     z_ok = bq[np.ix_(Xa, Zc)] == ac
+    total = 0.0
     for i1, x1 in enumerate(Xa):
         for i2, x2 in enumerate(Xa):
             ys = Yb[y_ok[i1] & y_ok[i2]]
             zs = Zc[z_ok[i1] & z_ok[i2]]
-            yield x1, x2, ys, zs, in_bc[ys[:, None], zs]
-
-
-def k222_sum(f, B: QuadraticFactor, d: LocalLabelTuple):
-    """sum over K222(d) of prod_{i,j,k} f(x_i+y_j+z_k), by constraint
-    propagation: for each pair (x1,x2) in B(d_a)^2 the (y,z) sum is
-    ||W W^T||_F^2 for W[y,z] = f-products gated by the cross constraints."""
-    g = B.grp
-    v = gowers.as_values(f, g).astype(np.float64)
-    total = 0.0
-    for x1, x2, ys, zs, cross in _k222_slices(B, d):
-        if cross.size == 0:
-            continue
-        # W[y, z] = f(x1+y+z) f(x2+y+z) * [beta_Q(y,z) = d_bc]
-        yz = g.add[ys[:, None], zs]
-        W = v[g.add[x1]][yz] * v[g.add[x2]][yz] * cross
-        M = W @ W.T
-        total += float((M * M).sum())
+            cross = in_bc[ys[:, None], zs]
+            if cross.size == 0:
+                continue
+            # W[y, z] = f(x1+y+z) f(x2+y+z) * [beta_Q(y,z) = d_bc]
+            yz = g.add[ys[:, None], zs]
+            W = v[g.add[x1]][yz] * v[g.add[x2]][yz] * cross
+            M = W @ W.T
+            total += float((M * M).sum())
     return total
-
-
-def k222_members(B: QuadraticFactor, d: LocalLabelTuple):
-    """Explicit 6-tuples (x1,x2,y1,y2,z1,z2) of K222(d); tiny n only."""
-    out = []
-    for x1, x2, ys, zs, cross in _k222_slices(B, d):
-        # [y1, y2, z1, z2]: all four cross pairs have pair value d_bc
-        ok = (cross[:, None, :, None] & cross[:, None, None, :]
-              & cross[None, :, :, None] & cross[None, :, None, :])
-        y1, y2, z1, z2 = np.nonzero(ok)
-        rows = np.stack([np.full(len(y1), x1), np.full(len(y1), x2),
-                         ys[y1], ys[y2], zs[z1], zs[z2]], axis=1)
-        out.extend(map(tuple, rows.tolist()))
-    return out
 
 
 def k111_members(B: QuadraticFactor, d: LocalLabelTuple):
@@ -255,38 +219,6 @@ def psi_map(grp, x1, x2, y1, y2, z1, z2):
     return (a[a[x1, y1], z1], a[x2, neg[x1]], a[y2, neg[y1]], a[z2, neg[z1]])
 
 
-def preimage_intersection(B: QuadraticFactor, d: LocalLabelTuple, e,
-                          w, ha, hb, hc):
-    """Psi^{-1}(w,ha,hb,hc) intersected with K222(d), via the X/Y
-    parametrization: the 6-tuples are
-    (x, x+ha, y, y+hb, w-x-y, w-x-y+hc) for x in X, y in Y with
-    beta_Q(x,y) = d_ab, where X and Y carry the displayed constraints.
-    Requires Sigma(d) = e and (w,ha,hb,hc) in Omega_{B(e)}."""
-    assert sigma_label(B, d) == e
-    g, bq = B.grp, B.bq_tables()
-
-    def admissible(label, own, others, pair):
-        """u in B(label) with b_Q(u, h) = 0 for h in `others`,
-        2 b_Q(u, own) = -b_Q(own, own) and b_Q(u, w) = label_b + pair + d_ab."""
-        atom = B.enumerate_atom(label)
-        target = B.pair_code([a + b + c for a, b, c in zip(label[1], pair, d.d_ab)])
-        ok = (bq[np.ix_(others, atom)] == 0).all(axis=0)
-        ok &= _h_constraint(g.add, bq, atom, own)
-        ok &= bq[atom, w] == target
-        return atom[ok]
-
-    xs = admissible(d.d_a, ha, (hb, hc), d.d_ac)
-    ys = admissible(d.d_b, hb, (ha, hc), d.d_bc)
-    out = set()
-    a, neg = g.add, g.neg
-    for x in xs:
-        for y in ys[bq[x, ys] == B.pair_code(d.d_ab)]:
-            z = a[a[w, neg[x]], neg[y]]
-            out.add((int(x), int(a[x, ha]), int(y), int(a[y, hb]), int(z),
-                     int(a[z, hc])))
-    return out
-
-
 # -- reporting ---------------------------------------------------------------
 
 # the norms CSV columns, each a norm_equivalence_report key
@@ -297,8 +229,10 @@ REPORT_COLUMNS = ["label", "atom_size", "omega_count", "omega_predicted",
 def norm_equivalence_report(f, B: QuadraticFactor, e, d: LocalLabelTuple) -> dict:
     """Both eighth powers and their difference, keyed by REPORT_COLUMNS
     and more; never asserted for nontrivial factors (the equivalence error
-    depends on an unspecified rank constant)."""
-    assert sigma_label(B, d) == e
+    depends on an unspecified rank constant).  ValueError when e is not
+    sigma_label(B, d)."""
+    if sigma_label(B, d) != e:
+        raise ValueError(f"label {e} is not the sum label of {d}")
     p8 = norm_P_eighth(f, B, e)
     degenerate = False
     try:

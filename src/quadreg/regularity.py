@@ -109,24 +109,6 @@ def _monomial_design(grp: Group) -> np.ndarray:
     return grp.coords[:, i] * grp.coords[:, j] % grp.p
 
 
-def poly_values(grp: Group, M, r, c) -> np.ndarray:
-    """psi(x) = x^T M x + r.x + c over all encoded x."""
-    E = grp.coords
-    Mv = np.array(M, dtype=np.int64)
-    rv = np.array(r, dtype=np.int64)
-    return (np.einsum("xi,ij,xj->x", E, Mv, E) + E @ rv + c) % grp.p
-
-
-def correlation(f, grp: Group, members: np.ndarray, M, r, c=0) -> float:
-    """|sum_{x in atom} f(x) w^{psi(x)}| / |atom|."""
-    if len(members) == 0:
-        raise ValueError("empty atom")
-    v = gowers.as_values(f, grp)
-    psi = poly_values(grp, M, r, c)[members]
-    w = np.exp(2j * np.pi * psi / grp.p)
-    return float(abs((v[members] * w).sum()) / len(members))
-
-
 def _coeffs_to_matrix(grp: Group, quad_coeffs):
     """Monomial coefficients for x_i x_j in _monomial_design order ->
     symmetric M with x^T M x equal to that polynomial (off-diagonals

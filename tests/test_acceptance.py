@@ -12,20 +12,20 @@ from itertools import product
 import numpy as np
 import pytest
 
-from quadreg import gowers, verify, vc2
-from quadreg.chains import GrowthFunction, f_table, tau, tau_closed_bound
+from quadreg import gowers, localnorms, verify, vc2
+from quadreg.chains import GrowthFunction, f_table, tau
 from quadreg.cli import main as cli_main
-from quadreg.factors import QuadraticFactor, rank_refine, refines
+from quadreg.factors import QuadraticFactor, rank_refine
 from quadreg.generators import random_factor
 from quadreg.gf import group
 from quadreg.io import save_json, set_to_dict
-from quadreg.localnorms import (all_local_labels, k222_members, norm_P_eighth,
-                                norm_TW_eighth, omega_members,
-                                preimage_intersection, psi_map, sigma_label,
-                                trivial_local_label)
+from quadreg.localnorms import (k222_sum, norm_P_eighth, norm_TW_eighth,
+                                psi_map, sigma_label, trivial_local_label)
 from quadreg.regularity import (RunConfig, assemble_main, cylinder_decompose,
                                 validate_cells)
 from quadreg.verify import CHAIN_RHOS
+from reference import (k222_codes, local_label, preimage_intersection,
+                       refines, tau_closed_bound)
 
 P = 3
 
@@ -88,30 +88,52 @@ def five_seeded_factors_n2():
     ]
 
 
+def k222_by_label(B):
+    """(codes, members): the local-label code of every member of every
+    K222(d), and the members as rows (x1, x2, y1, y2, z1, z2)."""
+    codes = k222_codes(B)
+    idx = np.nonzero(codes >= 0)[0]
+    return codes[idx], np.stack(np.unravel_index(idx, (B.grp.size,) * 6), axis=1)
+
+
 @pytest.mark.parametrize("fi", range(5))
 def test_accept_05_preimage_parametrization(fi):
     B = five_seeded_factors_n2()[fi]
     g = B.grp
     N = g.size
-    for d in all_local_labels(B):
-        mem = np.array(k222_members(B, d), dtype=np.int64)
-        if not len(mem):
-            continue
+    # one psi_map call for every member of every K222(d), then the members
+    # grouped by their label d and the code of their image
+    labels, mem = k222_by_label(B)
+    images = np.stack(psi_map(g, *mem.T), axis=1)
+    keys = labels * N ** 4 + images @ np.array([N ** 3, N ** 2, N, 1])
+    order = np.argsort(keys, kind="stable")
+    starts = np.unique(keys[order], return_index=True)[1]
+    omega = localnorms.omega_code_definitional_bulk(B, *images.T)
+    for idx in np.split(order, starts[1:]):
+        d = local_label(B, int(labels[idx[0]]))
         e = sigma_label(B, d)
-        # one psi_map call for every member, then the members grouped by
-        # the code of their image
-        images = np.stack(psi_map(g, *mem.T), axis=1)
-        codes = images @ np.array([N ** 3, N ** 2, N, 1])
-        order = np.argsort(codes, kind="stable")
-        starts = np.unique(codes[order], return_index=True)[1]
-        groups = np.split(order, starts[1:])
         # every image point must be an omega tuple of the sum label
-        om = set(omega_members(B, e))
-        assert {tuple(images[idx[0]].tolist()) for idx in groups} <= om
-        for idx in groups:
-            expect = set(map(tuple, mem[idx].tolist()))
-            omt = images[idx[0]].tolist()
-            assert preimage_intersection(B, d, e, *omt) == expect
+        assert omega[idx[0]] == B.label_to_code(e)
+        expect = set(map(tuple, mem[idx].tolist()))
+        assert preimage_intersection(B, d, e, *images[idx[0]].tolist()) == expect
+
+
+def test_accept_05_k222_sum_matches_members():
+    # k222_sum(f, B, d) is the sum over K222(d) of prod f(x_i + y_j + z_k)
+    rng = np.random.default_rng(505)
+    for B in five_seeded_factors_n2():
+        g = B.grp
+        f = rng.uniform(-1.0, 1.0, size=g.size)
+        labels, mem = k222_by_label(B)
+        prod = np.ones(len(mem))
+        for x in mem.T[0:2]:
+            for y in mem.T[2:4]:
+                for z in mem.T[4:6]:
+                    prod *= f[g.add[g.add[x, y], z]]
+        codes, inverse = np.unique(labels, return_inverse=True)
+        for code, want in zip(codes.tolist(), np.bincount(inverse, weights=prod)):
+            got = k222_sum(f, B, local_label(B, code))
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
 # 6. trivial-factor norm equality -------------------------------------------

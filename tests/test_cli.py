@@ -204,19 +204,21 @@ def _write(path, obj):
                                   "decompose-rho-zero-constant",
                                   "gen-density-nan", "gen-density-above-one",
                                   "norms-nan-value", "norms-infinite-value",
-                                  "decompose-nan-value"])
+                                  "decompose-nan-value", "gen-group-too-large",
+                                  "set-group-too-large"])
 def test_bad_input_exits_4(tmp_path, capsys, case):
     out = str(tmp_path / "out")
-    # decompose cases: (p, members, delta)
-    decompose = {"negative-member": (3, [0, -1], "0.4"),
-                 "member-too-large": (3, [0, 9], "0.4"),
-                 "fractional-member": (3, [1.5, 2], "0.4"),
-                 "boolean-member": (3, [True, 2], "0.4"),
-                 "unsupported-p": (4, [0], "0.4"),
-                 "delta-zero": (3, [0], "0")}
+    # decompose cases: (p, n, members, delta); 3^30 is past the largest group
+    decompose = {"negative-member": (3, 2, [0, -1], "0.4"),
+                 "member-too-large": (3, 2, [0, 9], "0.4"),
+                 "fractional-member": (3, 2, [1.5, 2], "0.4"),
+                 "boolean-member": (3, 2, [True, 2], "0.4"),
+                 "unsupported-p": (4, 2, [0], "0.4"),
+                 "delta-zero": (3, 2, [0], "0"),
+                 "set-group-too-large": (3, 30, [0], "0.4")}
     if case in decompose:
-        p, members, delta = decompose[case]
-        s = _write(tmp_path / "set.json", {"p": p, "n": 2, "kind": "indicator",
+        p, n, members, delta = decompose[case]
+        s = _write(tmp_path / "set.json", {"p": p, "n": n, "kind": "indicator",
                                            "elements": members})
         argv = ["decompose", "--set", s, "--delta", delta, "--out", out]
     elif case == "norms-group-mismatch":
@@ -235,6 +237,8 @@ def test_bad_input_exits_4(tmp_path, capsys, case):
                 "--p", "3", "--n", "2", "--out", out]
     elif case == "gen-bad-p":
         argv = ["gen", "--kind", "random", "--p", "4", "--n", "2", "--out", out]
+    elif case == "gen-group-too-large":
+        argv = ["gen", "--kind", "random", "--p", "3", "--n", "30", "--out", out]
     elif case == "usage-missing-set":
         argv = ["decompose", "--delta", "0.4", "--out", out]
     elif case == "usage-delta-not-a-number":

@@ -11,10 +11,11 @@ from quadreg.generators import random_factor
 from quadreg.gf import group
 from quadreg.localnorms import (DegenerateLabelError, LocalLabelTuple,
                                 all_local_labels, fibre_size, k111_members,
-                                k222_members, k222_sum, label_sizes,
+                                k222_sum, label_sizes, norm_equivalence_report,
                                 norm_P_eighth, norm_TW_eighth, omega_count,
-                                omega_members, omega_predicted, sigma_label,
+                                omega_predicted, sigma_label,
                                 trivial_local_label)
+from reference import atom_label_of, beta_Q, k222_members, omega_members
 
 
 def hyperplane_factor():
@@ -46,13 +47,16 @@ def test_omega_count_equals_cube_sum(seed):
 def test_omega_members_match_count():
     rng = np.random.default_rng(3)
     B = random_factor(3, 2, 1, 1, rng)
+    g = B.grp
     for e in B.all_labels():
         mem = omega_members(B, e)
         assert len(mem) == omega_count(B, e)
         assert len(set(mem)) == len(mem)
-        for (x, h1, h2, h3) in mem[:50]:
-            assert (localnorms.omega_code_definitional_bulk(B, x, h1, h2, h3)
-                    == B.label_to_code(e))
+        for (x, *hs) in mem[:50]:
+            cube = [x]
+            for h in hs:
+                cube += [int(g.add[pt, h]) for pt in cube]
+            assert all(atom_label_of(B, g.decode(pt)) == e for pt in cube)
 
 
 def test_omega_codes_count_every_label():
@@ -108,30 +112,24 @@ def test_k222_trivial_factor_is_everything():
 
 
 def test_k222_members_respect_labels():
+    # the reference enumeration, built from the scalar forms, against the
+    # factor's label and pair code tables
     rng = np.random.default_rng(5)
     B = random_factor(3, 2, 1, 1, rng)
-    g = B.grp
+    lc, bq = B.label_codes(), B.bq_tables()
     labels = [d for d in all_local_labels(B)]
     rng.shuffle(labels)
     seen = 0
     for d in labels:
-        mem = k222_members(B, d)
-        if not mem:
+        mem = np.array(k222_members(B, d)).reshape(-1, 6)
+        if not len(mem):
             continue
         seen += 1
-        for t in mem[:20]:
-            x1, x2, y1, y2, z1, z2 = (g.decode(v) for v in t)
-            assert B.atom_label_of(x1) == d.d_a and B.atom_label_of(x2) == d.d_a
-            assert B.atom_label_of(y1) == d.d_b and B.atom_label_of(y2) == d.d_b
-            assert B.atom_label_of(z1) == d.d_c and B.atom_label_of(z2) == d.d_c
-            for u in (x1, x2):
-                for v in (y1, y2):
-                    assert B.beta_Q(u, v) == d.d_ab
-                for w in (z1, z2):
-                    assert B.beta_Q(u, w) == d.d_ac
-            for v in (y1, y2):
-                for w in (z1, z2):
-                    assert B.beta_Q(v, w) == d.d_bc
+        x, y, z = mem[:, 0:2], mem[:, 2:4], mem[:, 4:6]
+        for pts, lab in ((x, d.d_a), (y, d.d_b), (z, d.d_c)):
+            assert np.all(lc[pts] == B.label_to_code(lab))
+        for us, vs, pair in ((x, y, d.d_ab), (x, z, d.d_ac), (y, z, d.d_bc)):
+            assert np.all(bq[us[:, :, None], vs[:, None, :]] == B.pair_code(pair))
         if seen >= 5:
             break
     assert seen >= 1
@@ -171,7 +169,7 @@ def test_tw_matches_definitional_bruteforce():
     atoms = [list(B.enumerate_atom(lab)) for lab in (d.d_a, d.d_b, d.d_c)]
 
     def bq(u, v):
-        return B.beta_Q(g.decode(u), g.decode(v))
+        return beta_Q(B, g.decode(u), g.decode(v))
 
     fib = {v: fibre_size(B, (v,)) for v in range(p)}
     total = 0.0
@@ -199,6 +197,15 @@ def test_tw_matches_definitional_bruteforce():
     brute = total / (sizes[0] ** 2 * sizes[1] ** 2 * sizes[2] ** 2)
     lib = norm_TW_eighth(f, B, d)
     assert abs(brute - lib) <= 1e-9 * max(1.0, abs(brute))
+
+
+def test_norm_report_refuses_a_label_that_is_not_the_sum():
+    B = QuadraticFactor(3, 2, [(1, 0)], [[[1, 0], [0, 1]]])
+    d = trivial_local_label(B)
+    f = np.ones(B.grp.size)
+    assert norm_equivalence_report(f, B, sigma_label(B, d), d)["label"]
+    with pytest.raises(ValueError, match="not the sum label"):
+        norm_equivalence_report(f, B, ((1,), (0,)), d)
 
 
 def test_degenerate_label_raises():

@@ -1,46 +1,90 @@
-"""Every public module-level function and class of quadreg has a use outside
-the tests: another quadreg module, its own module, scripts/ or perfbench/
-names it.  The only exceptions are the test references below."""
+"""Every public module-level function and class of quadreg, and every public
+method of its classes, has a use outside the tests: scripts/, perfbench/ or
+quadreg code that is itself in use reads it.  There are no exceptions; a
+reference that only the tests call lives in tests/reference.py.
+
+A use is a read: a name loaded or imported, or an attribute taken of a
+quadreg module; a method is read through any attribute of its name.  A
+store, a keyword argument or a dataclass field of the same spelling is not
+a use.  Uses inside a function or method count only when it is in use
+itself, so a helper whose only callers are unused is unused too.
+"""
 
 import ast
-from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "quadreg"
-
-# reference implementations that only the tests call
-TEST_REFERENCES = {"tau_closed_bound", "refines", "u2_fourth_naive",
-                   "omega_members", "k222_members", "preimage_intersection"}
+MODULES = {path.stem for path in SRC.glob("*.py")}
+DEFS = (ast.FunctionDef, ast.ClassDef)
 
 
-def names_used(path: Path) -> Counter:
-    """Identifiers the file reads, imports or takes an attribute of; in
-    perfbench/ also the dotted parts of its strings (the tracer names
-    quadreg functions by string)."""
-    used = Counter()
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Name):
-            used[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            used[node.attr] += 1
+def _reads(nodes, strings: bool = False):
+    """(kind, name) for each read under `nodes`: kind "name" for a loaded or
+    imported name or an attribute of a quadreg module, "attr" for any
+    attribute read; with `strings`, the dotted parts of every string (the
+    perfbench tracer names quadreg functions by string) are both."""
+    for node in (n for top in nodes for n in ast.walk(top)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield "name", node.id
         elif isinstance(node, ast.alias):
-            used[node.name] += 1
-        elif (path.parent.name == "perfbench" and isinstance(node, ast.Constant)
+            yield "name", node.name.rpartition(".")[2]
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield "attr", node.attr
+            # gf.dot, quadreg.gf.dot
+            base = getattr(node.value, "id", getattr(node.value, "attr", None))
+            if base in MODULES:
+                yield "name", node.attr
+        elif (strings and isinstance(node, ast.Constant)
               and isinstance(node.value, str)):
-            used.update(node.value.split("."))
-    return used
+            for part in node.value.split("."):
+                yield "name", part
+                yield "attr", part
+
+
+def unused_public_names() -> set:
+    defs = {}  # key -> (kind of read that uses it, name, key of its class)
+    uses = []  # (key of the definition it sits in, or None, kind, name)
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        uses += [(None, *r) for r in _reads(n for n in tree.body
+                                            if not isinstance(n, DEFS))]
+        for node in (n for n in tree.body if isinstance(n, DEFS)):
+            key = f"{path.stem}.{node.name}"
+            defs[key] = ("name", node.name, None)
+            body = [node]
+            if isinstance(node, ast.ClassDef):
+                body = [n for n in ast.iter_child_nodes(node)
+                        if not isinstance(n, ast.FunctionDef)]
+                for m in node.body:
+                    if not isinstance(m, ast.FunctionDef):
+                        continue
+                    if m.name.startswith("__") and m.name.endswith("__"):
+                        body.append(m)  # Python calls it: in use with its class
+                        continue
+                    defs[f"{key}.{m.name}"] = ("attr", m.name, key)
+                    uses += [(f"{key}.{m.name}", *r) for r in _reads([m])]
+            uses += [(key, *r) for r in _reads(body)]
+    for folder in ("scripts", "perfbench"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            uses += [(None, *r) for r in _reads([ast.parse(path.read_text())],
+                                                folder == "perfbench")]
+    # grow the set of used definitions from the uses outside any definition
+    live = set()
+    while True:
+        read = {(kind, name) for owner, kind, name in uses
+                if owner is None or owner in live}
+        new = {key for key, (kind, name, cls) in defs.items()
+               if (kind, name) in read and cls in live | {None}} - live
+        if not new:
+            break
+        live |= new
+    return {key for key, (_, name, _) in defs.items()
+            if key not in live and not name.startswith("_")}
 
 
 def test_every_public_name_has_a_use():
-    files = [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
-             *(ROOT / "perfbench").glob("*.py")]
-    used = sum(map(names_used, files), Counter())
-    public = {node.name for path in SRC.glob("*.py")
-              for node in ast.parse(path.read_text()).body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_")}
-    unused = {name for name in public if not used[name]}
-    # a new name here is an unused helper or alias; a missing one has
-    # gained a use (or is gone) and leaves the list
-    assert unused == TEST_REFERENCES
+    # a name here is unused outside the tests: delete it, or move it to
+    # tests/reference.py when it is a test reference
+    unused = sorted(unused_public_names())
+    assert not unused, "unused outside the tests: " + ", ".join(unused)
