@@ -122,7 +122,7 @@ MUTATIONS = [
               "tests/test_vc2.py::test_translation_invariance_small",
               VERIFY_QUICK)),
     Mutation("badcount1_bound", "every x counts as bad", "verify.py",
-             "< rank + B.q\n", "<= rank + B.q\n", (VERIFY_QUICK,)),
+             "< rank + B.q for rows", "<= rank + B.q for rows", (VERIFY_QUICK,)),
     Mutation("pythagoras", "refinement_sum drops a part", "regularity.py",
              "return sum(((a - b) ** 2 * size for a, b, size\n"
              "                in _with_parents(A, parts, refined_parts, N))",
@@ -170,10 +170,28 @@ MUTATIONS = [
               "tests/test_regularity.py::"
               "test_witness_achieves_reported_correlation[2-exhaustive]")),
     Mutation("inverse oracle", "the linear part is r = s, not -s",
-             "regularity.py", "r = tuple(int((-ci) % grp.p)",
-             "r = tuple(int(ci % grp.p)",
+             "regularity.py", "r = tuple(int((-c) % p)", "r = tuple(int(c % p)",
              ("tests/test_regularity.py::"
-              "test_witness_achieves_reported_correlation[2-exhaustive]",)),
+              "test_witness_achieves_reported_correlation[2-exhaustive]",
+              "tests/test_regularity.py::"
+              "test_oracle_returns_the_documented_witness")),
+    Mutation("inverse oracle", "the scan takes the last frequency within 1e-9",
+             "regularity.py", "freq[k] = np.argmax(mags >= mags.max() - TIE)",
+             "freq[k] = len(mags) - 1 - np.argmax(mags[::-1] >= mags.max() - TIE)",
+             ("tests/test_regularity.py::"
+              "test_oracle_returns_the_documented_witness",)),
+    Mutation("chain validation", "a deletion may drop a matrix whose "
+             "coefficient is 0", "chains.py",
+             "if rank >= demand or coeffs[kill] == 0:", "if rank >= demand:",
+             ("tests/test_chains.py::"
+              "test_deletion_needs_a_nonzero_coefficient_on_the_deleted_matrix",)),
+    Mutation("chain validation", "a deletion may add more vectors than "
+             "L + rowspace(U) needs", "chains.py",
+             "\n                and B2.l == gf.mat_rank(list(B.L) + rows, p)):",
+             "):",
+             ("tests/test_chains.py::"
+              "test_deletion_adds_exactly_the_row_space[extra-vector]",
+              "tests/test_chains.py::test_deletion_through_a_later_combination")),
 ]
 
 

@@ -113,28 +113,24 @@ def corollary_chain_bound(C, d: int, m: int, k: int):
 # -- chain validation --------------------------------------------------------
 
 def _is_valid_deletion(B: QuadraticFactor, B2: QuadraticFactor, rho) -> bool:
-    """Does B -> B2 match some rho-matrix deletion of B?"""
-    if B2.q != B.q - 1 or B2.n != B.n or B2.p != B.p:
+    """Does B -> B2 match some rho-matrix deletion of B?  B2.Q is B.Q less
+    one matrix M_k, and for some combination U of rank < rho(l+q) with a
+    nonzero coefficient on M_k, B2.L is B.L followed by vectors that make
+    it a basis of span(L) + rowspace(U)."""
+    if B2.q != B.q - 1 or B2.n != B.n or B2.p != B.p or B2.L[: B.l] != B.L:
         return False
-    p = B.p
-    demand = rho(B.l + B.q)
+    # the matrices are distinct, so at most one index leaves B2.Q
+    kill = next((k for k in range(B.q) if B.Q[:k] + B.Q[k + 1:] == B2.Q), None)
+    if kill is None:
+        return False
+    p, demand = B.p, rho(B.l + B.q)
     for coeffs, U, rank in nontrivial_combinations(B):
-        if rank >= demand:
+        if rank >= demand or coeffs[kill] == 0:
             continue
-        for kill in range(B.q):
-            if coeffs[kill] == 0:
-                continue
-            if B.Q[:kill] + B.Q[kill + 1:] != B2.Q:
-                continue
-            # L2 must contain L, be minimal, and span L + rowspace(U)
-            if B2.L[: B.l] != B.L:
-                continue
-            target = list(B.L) + list(gf.row_space_basis(U, p))
-            dim = gf.mat_rank(target, p)
-            if len(B2.L) != dim:
-                continue
-            if gf.mat_rank(list(B2.L) + target, p) != dim:
-                continue
+        rows = gf.row_space_basis(U, p)
+        # B2.L spans rowspace(U), and is no longer than L + rowspace(U) needs
+        if (gf.mat_rank(list(B2.L) + rows, p) == B2.l
+                and B2.l == gf.mat_rank(list(B.L) + rows, p)):
             return True
     return False
 
@@ -152,27 +148,18 @@ def _is_valid_addition(B: QuadraticFactor, B2: QuadraticFactor) -> bool:
 def validate_chain(rho, sigma, factors) -> bool:
     """Is factors[0] -> ... -> factors[m] a valid chain for the string sigma
     of length m: factors[0] trivial, step i an addition when sigma[i] = +1
-    and a rho-matrix deletion when -1, within the f_sigma bounds?"""
-    sigma = tuple(sigma)
-    if len(factors) != len(sigma) + 1:
+    and a rho-matrix deletion when -1, each factor within the f_sigma bounds
+    of its prefix (l <= a, q <= b = disc(prefix))?"""
+    if len(factors) != len(sigma) + 1 or factors[0].l or factors[0].q:
         return False
-    if factors[0].l != 0 or factors[0].q != 0:
-        return False
-    for i, bit in enumerate(sigma):
+    a = b = 0  # f_sigma of the prefix, built one step at a time
+    for B, B2, bit in zip(factors, factors[1:], sigma):
         if bit == 1:
-            if not _is_valid_addition(factors[i], factors[i + 1]):
-                return False
+            valid, a, b = _is_valid_addition(B, B2), a + 1, b + 1
         elif bit == -1:
-            if not _is_valid_deletion(factors[i], factors[i + 1], rho):
-                return False
+            valid, a, b = _is_valid_deletion(B, B2, rho), a + rho(a + b), b - 1
         else:
             return False
-    # complexity bounds along the chain
-    for i in range(len(sigma) + 1):
-        prefix = sigma[:i]
-        if not (0 <= factors[i].q <= disc(prefix)):
-            return False
-        a, b = f_sigma(rho, prefix)
-        if not (factors[i].l <= a and factors[i].q <= b):
+        if not (valid and B2.l <= a and B2.q <= b):
             return False
     return True

@@ -25,10 +25,17 @@ from .regularity import (BudgetExceeded, OracleFailure, RunConfig,
                          cylinder_decompose, global_decompose)
 from .verify import verify_suite
 
+# chain-bounds refuses larger tables before building any: f_table holds
+# 2^(length+1) - 1 strings (0.1 GB at 16), the tau table <= (imax+1)(xmax+1)^2
+MAX_LENGTH = 16
+MAX_TAU_ROWS = 10 ** 5
+
 
 def cmd_decompose(args) -> int:
     if not 0 < args.delta <= 1:
         raise io.InputError("--delta must lie in (0, 1]")
+    if args.max_steps is not None and args.max_steps < 0:
+        raise io.InputError("--max-steps must be at least 0")
     A, p, n = io.set_from_dict(io.load_json(args.set))
     with io.input_errors("--rho"):
         rho = GrowthFunction.parse(args.rho)
@@ -81,6 +88,11 @@ def cmd_vc2(args) -> int:
 def cmd_chain_bounds(args) -> int:
     with io.input_errors("--rho"):
         rho = GrowthFunction.parse(args.rho)
+    if args.length > MAX_LENGTH:
+        raise io.InputError(f"--length must be at most {MAX_LENGTH}")
+    if (args.tau_imax + 1) * (args.tau_xmax + 1) ** 2 > MAX_TAU_ROWS:
+        raise io.InputError("(--tau-imax + 1)(--tau-xmax + 1)^2 must be at "
+                            f"most {MAX_TAU_ROWS}")
     # every value is converted before any row is written, so an overflow
     # leaves no partial table
     try:

@@ -133,12 +133,13 @@ class QuadraticFactor:
 
 
 def nontrivial_combinations(B: QuadraticFactor):
-    """(coeffs, U, rank of U) for every nontrivial combination
-    U = sum_j coeffs_j M_j of the matrices, coeffs in lexicographic order."""
+    """(coeffs, U, rank of U) for every nontrivial combination U (row tuples)
+    = sum_j coeffs_j M_j mod p of the matrices, coeffs in lexicographic order."""
     Q = np.array(B.Q, dtype=np.int64)
     for coeffs in product(range(B.p), repeat=B.q):
         if any(coeffs):
-            U = combine_matrices(Q, coeffs, B.p)
+            U = np.tensordot(np.asarray(coeffs, dtype=np.int64), Q, axes=1) % B.p
+            U = tuple(map(tuple, U.tolist()))
             yield coeffs, U, gf.mat_rank(U, B.p)
 
 
@@ -147,13 +148,6 @@ def factor_rank(B: QuadraticFactor) -> int:
     if B.q > MAX_Q_FOR_RANK:
         raise ValueError(f"factor_rank refuses q > {MAX_Q_FOR_RANK}")
     return min((r for _, _, r in nontrivial_combinations(B)), default=B.n)
-
-
-def combine_matrices(Q, coeffs, p):
-    """sum_j coeffs_j Q_j mod p, as row tuples."""
-    U = np.tensordot(np.asarray(coeffs, dtype=np.int64),
-                     np.asarray(Q, dtype=np.int64), axes=1) % p
-    return tuple(map(tuple, U.tolist()))
 
 
 def find_low_rank_combination(B: QuadraticFactor, rho):

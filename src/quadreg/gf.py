@@ -54,9 +54,6 @@ class Group:
     def encode(self, vec) -> int:
         return int(sum((v % self.p) * self.p ** i for i, v in enumerate(vec)))
 
-    def decode(self, idx: int) -> tuple[int, ...]:
-        return tuple(int(c) for c in self.coords[idx])
-
     def __repr__(self):
         return f"Group(p={self.p}, n={self.n})"
 
@@ -116,22 +113,13 @@ def is_independent(vectors, p) -> bool:
 def extend_to_independent(L, V, p):
     """Greedy: append vectors of V (in order) to L when they enlarge the span.
     L must already be independent."""
-    L = [tuple(v) for v in L]
-    if not is_independent(L, p):
+    out = [tuple(v) for v in L]
+    if not is_independent(out, p):
         raise ValueError("base list L is linearly dependent")
-    out = list(L)
-    rank = len(out)
-    for v in V:
-        cand = out + [tuple(v)]
-        r = mat_rank(cand, p)
-        if r > rank:
-            out = cand
-            rank = r
+    for v in map(tuple, V):
+        if is_independent(out + [v], p):
+            out.append(v)
     return out
-
-
-def mat_mul_vec(M, v, p):
-    return tuple(sum(mij * vj for mij, vj in zip(row, v)) % p for row in M)
 
 
 def mat_rank_bruteforce(rows, p) -> int:

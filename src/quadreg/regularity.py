@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -20,6 +19,7 @@ from .gf import Group, group
 C_INV = 4                 # witness threshold delta^C/C, budget C^2 delta^(-2C-2)
 EXHAUSTIVE_CAP = 10 ** 7  # most polynomials the exhaustive oracle scans
 ATTEMPTS = 2000           # randomized restarts past the cap
+TIE = 1e-9                # oracle moduli this close to a maximum tie with it
 
 
 class OracleFailure(RuntimeError):
@@ -121,64 +121,49 @@ def _coeffs_to_matrix(grp: Group, quad_coeffs):
     return tuple(map(tuple, M.tolist()))
 
 
-def _best_linear_part(f_masked: np.ndarray, grp: Group, quad_vals: np.ndarray):
-    """For fixed quadratic part, the best linear part r maximizing
-    |sum f(x) w^{quad(x) + r.x}| comes straight off the character sums of
-    g = f * w^{quad}: the modulus at frequency s equals the sum with
-    r = -s."""
-    g = f_masked * np.exp(2j * np.pi * quad_vals / grp.p)
-    mags = np.abs(gowers.dft(g, grp))
-    s = int(np.argmax(mags))
-    r = tuple(int((-ci) % grp.p) for ci in grp.coords[s])
-    return r, float(mags[s])
-
-
 def inverse_oracle(f, grp: Group, members: np.ndarray, delta: float,
                    config: RunConfig, rng: np.random.Generator):
     """Search for a quadratic polynomial whose phase correlates with f on the
-    atom at level >= delta^C/C.  Exhaustive over all p^{n(n+1)/2} quadratic
-    parts (the linear part is optimized exactly via character sums, the
-    constant only rotates phase) when the polynomial count fits the cap;
-    otherwise randomized restarts over sparse quadratic parts, drawn from
-    `rng`.
-    """
+    atom at level >= delta^C/C.  The candidate quadratic parts q_k are all
+    p^{n(n+1)/2} in product order while the p^{n(n+1)/2 + n + 1} polynomials
+    fit the cap, else the zero part and ATTEMPTS sparse parts drawn from
+    `rng`.  The character sums of f w^{q_k} on the atom give every linear
+    part at once: the modulus at frequency s is |sum f w^{q_k + r.x}| with
+    r = -s (the constant only rotates the phase).
+
+    Rounding cannot flip a tie: s_k is the first frequency (encoded order)
+    whose modulus is within TIE of the part's largest, m_k the modulus there;
+    the witness is the first part with m_k >= max(m) - TIE, with r = -s_k
+    and correlation m_k / |atom|."""
     if len(members) == 0:
         return None
     p, n = grp.p, grp.n
-    v = gowers.as_values(f, grp).astype(np.float64)
-    mask = np.zeros(grp.size, dtype=np.float64)
-    mask[members] = 1.0
-    fm = v * mask
-    design = _monomial_design(grp)
+    fm = np.zeros(grp.size)
+    fm[members] = gowers.as_values(f, grp)[members]
     nquad = n * (n + 1) // 2
-    total_polys = p ** (nquad + n + 1)
-    best = None
-    threshold = config.threshold(delta)
-
-    def consider(quad_coeffs):
-        nonlocal best
-        quad_vals = (design @ np.array(quad_coeffs, dtype=np.int64)) % p
-        r, mag = _best_linear_part(fm, grp, quad_vals)
-        corr = mag / len(members)
-        if best is None or corr > best[0] + 1e-15:
-            M = _coeffs_to_matrix(grp, quad_coeffs)
-            best = (corr, M, r)
-
-    if total_polys <= EXHAUSTIVE_CAP:
-        for quad_coeffs in product(range(p), repeat=nquad):
-            consider(quad_coeffs)
+    if p ** (nquad + n + 1) <= EXHAUSTIVE_CAP:
+        parts = np.indices((p,) * nquad).reshape(nquad, -1).T
     else:
-        consider((0,) * nquad)
-        for _ in range(ATTEMPTS):
+        parts = np.zeros((ATTEMPTS + 1, nquad), dtype=np.int64)
+        for part in parts[1:]:  # rng order: support size, indices, values
             support = rng.integers(1, max(2, nquad // 2 + 1))
-            coeffs = [0] * nquad
             for idx in rng.choice(nquad, size=min(support, nquad), replace=False):
-                coeffs[idx] = int(rng.integers(1, p))
-            consider(tuple(coeffs))
-    if best is None or best[0] < threshold:
+                part[idx] = rng.integers(1, p)
+    design = _monomial_design(grp)
+    freq = np.empty(len(parts), dtype=np.int64)
+    mod = np.empty(len(parts))
+    for k, part in enumerate(parts):
+        g = fm * np.exp(2j * np.pi * ((design @ part) % p) / p)
+        mags = np.abs(gowers.dft(g, grp))
+        freq[k] = np.argmax(mags >= mags.max() - TIE)
+        mod[k] = mags[freq[k]]
+    k = int(np.argmax(mod >= mod.max() - TIE))
+    correlation = float(mod[k]) / len(members)
+    if correlation < config.threshold(delta):
         return None
-    corr, M, r = best
-    return InverseWitness(M=M, r=r, correlation=corr)
+    r = tuple(int((-c) % p) for c in grp.coords[freq[k]])
+    return InverseWitness(M=_coeffs_to_matrix(grp, parts[k]), r=r,
+                          correlation=correlation)
 
 
 # -- cells -------------------------------------------------------------------

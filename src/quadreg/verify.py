@@ -32,17 +32,18 @@ from .regularity import index, refinement_sum
 
 # -- helpers -----------------------------------------------------------------
 
-def _images(B: QuadraticFactor, x: int) -> list:
-    """M_j x for every matrix of B, as row tuples."""
-    xd = B.grp.decode(x)
-    return [gf.mat_mul_vec(M, xd, B.p) for M in B.Q]
+def _images(B: QuadraticFactor) -> list:
+    """For every encoded x, [M_j x for every matrix of B] as row tuples."""
+    Q = np.array(B.Q, dtype=np.int64).reshape(B.q, B.n, B.n)
+    Mx = np.einsum("jab,xb->xja", Q, B.grp.coords) % B.p
+    return [list(map(tuple, rows)) for rows in Mx.tolist()]
 
 
 def count_bad_w_tuples(B: QuadraticFactor) -> int:
     """Number of (w_1..w_4) in G^4 with L u {M w_i} not independent.
     DFS over w's with the echelon basis of the current span as memo key."""
     p, N = B.p, B.grp.size
-    images = [_images(B, w) for w in range(N)]
+    images = _images(B)
 
     @functools.cache
     def good(ech, depth):
@@ -179,12 +180,12 @@ def vc2_translation(A, g, t: int):
 def badcount1_bound(B: QuadraticFactor, S):
     """At most p^(n+l+(|S|+1)q-r) x make L u {Mw : w in S} u {Mx} dependent,
     by brute force (r the rank of B); vacuous if the base is dependent."""
-    base = list(B.L) + [v for w in S for v in _images(B, w)]
+    images = _images(B)
+    base = list(B.L) + [v for w in S for v in images[w]]
     ech, rank = gf.rref(base, B.p)
     if rank < len(base):
         return None
-    bad = sum(gf.mat_rank(ech + _images(B, x), B.p) < rank + B.q
-              for x in range(B.grp.size))
+    bad = sum(gf.mat_rank(ech + rows, B.p) < rank + B.q for rows in images)
     bound = B.p ** (B.n + B.l + (len(S) + 1) * B.q - B.rank())
     if bad > bound:
         return f"badcount1 violated: {bad} > {bound}"

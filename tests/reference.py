@@ -14,11 +14,19 @@ from functools import lru_cache
 import numpy as np
 
 from quadreg import gowers, localnorms
-from quadreg.gf import mat_mul_vec
 from quadreg.localnorms import LocalLabelTuple, sigma_label
 
 
 # -- scalar forms and labels -------------------------------------------------
+
+def decode(g, idx: int) -> tuple:
+    """The coordinates of the group element encoded as `idx`."""
+    return tuple(int(c) for c in g.coords[idx])
+
+
+def mat_mul_vec(M, v, p):
+    return tuple(sum(mij * vj for mij, vj in zip(row, v)) % p for row in M)
+
 
 def dot(u, v, p):
     return sum(a * b for a, b in zip(u, v)) % p
@@ -129,7 +137,7 @@ def k222_codes(B) -> np.ndarray:
     g, p = B.grp, B.p
     if g.size ** 6 > 10 ** 7:
         raise ValueError("k222_codes: enumeration too large")
-    pts = [g.decode(x) for x in range(g.size)]
+    pts = [decode(g, x) for x in range(g.size)]
     lab = np.array([_code(sum(atom_label_of(B, x), ()), p) for x in pts])
     pair = np.array([[_code(beta_Q(B, x, y), p) for y in pts] for x in pts])
     x1, x2, y1, y2, z1, z2 = np.ix_(*[np.arange(g.size)] * 6)

@@ -4,8 +4,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from quadreg.chains import (GrowthFunction, corollary_chain_bound, disc,
-                            f_sigma, f_table, tau, validate_chain)
+from quadreg.chains import (GrowthFunction, _is_valid_deletion,
+                            corollary_chain_bound, disc, f_sigma, f_table,
+                            tau, validate_chain)
 from quadreg.factors import QuadraticFactor, rho_matrix_delete
 from quadreg.verify import CHAIN_RHOS
 from reference import describe, tau_closed_bound
@@ -165,6 +166,52 @@ def test_validate_chain_rejects_tampering():
     # deletion step replaced by an unrelated factor
     wrong = QuadraticFactor(3, 3, [(0, 0, 1)], [])
     assert not validate_chain(rho, sigma, factors[:-1] + [wrong])
+
+
+E0, E1, E2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+
+
+def _diag(*d):
+    return np.diag(d).tolist()
+
+
+def _deletion(B, L2, Q2, rho):
+    return _is_valid_deletion(B, QuadraticFactor(B.p, B.n, L2, Q2), rho)
+
+
+def test_deletion_needs_a_nonzero_coefficient_on_the_deleted_matrix():
+    # at rho(2) = 2 only the multiples of diag(1,0,0) are low-rank: I has
+    # coefficient 0 in each, so deleting I is no rho-matrix deletion
+    B = QuadraticFactor(3, 3, [], [_diag(1, 1, 1), _diag(1, 0, 0)])
+    rho = GrowthFunction(1)
+    assert _deletion(B, [E0], [_diag(1, 1, 1)], rho)
+    assert not _deletion(B, [E0], [_diag(1, 0, 0)], rho)
+
+
+@pytest.mark.parametrize("L2", [[E0, E1], [E1], []],
+                         ids=["extra-vector", "off-row-space", "empty"])
+def test_deletion_adds_exactly_the_row_space(L2):
+    # the only low-rank combinations are multiples of diag(1,0,0), row space
+    # span(e0): an extra vector, or a vector off it, is no rho-matrix deletion
+    B = QuadraticFactor(3, 3, [], [_diag(1, 1, 1), _diag(1, 0, 0)])
+    assert not _deletion(B, L2, [_diag(1, 1, 1)], GrowthFunction(1))
+
+
+def test_deletion_needs_a_low_rank_combination():
+    # at rho(2) = 1 no nonzero combination has rank below the demand
+    B = QuadraticFactor(3, 3, [], [_diag(1, 1, 1), _diag(1, 0, 0)])
+    assert not _deletion(B, [E0], [_diag(1, 1, 1)], GrowthFunction(Fraction(1, 2)))
+
+
+def test_deletion_through_a_later_combination():
+    # at rho(2) = 3 every combination is low-rank; the first one with a
+    # nonzero coefficient on M_0 is M_0 (row space e0), and M_0 + M_1 (row
+    # space e0, e1) is a later one: a deletion through either is valid
+    B = QuadraticFactor(3, 3, [], [_diag(1, 0, 0), _diag(0, 1, 0)])
+    rho = GrowthFunction(Fraction(3, 2))
+    assert _deletion(B, [E0], [_diag(0, 1, 0)], rho)
+    assert _deletion(B, [E0, E1], [_diag(0, 1, 0)], rho)
+    assert not _deletion(B, [E0, E1, E2], [_diag(0, 1, 0)], rho)
 
 
 def test_validate_chain_empty():

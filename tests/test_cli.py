@@ -205,7 +205,10 @@ def _write(path, obj):
                                   "gen-density-nan", "gen-density-above-one",
                                   "norms-nan-value", "norms-infinite-value",
                                   "decompose-nan-value", "gen-group-too-large",
-                                  "set-group-too-large"])
+                                  "set-group-too-large",
+                                  "decompose-negative-max-steps",
+                                  "chain-bounds-length-past-cap",
+                                  "chain-bounds-tau-table-past-cap"])
 def test_bad_input_exits_4(tmp_path, capsys, case):
     out = str(tmp_path / "out")
     # decompose cases: (p, n, members, delta); 3^30 is past the largest group
@@ -255,6 +258,13 @@ def test_bad_input_exits_4(tmp_path, capsys, case):
         argv = ["vc2", "--set", s, "--kmax", "0" if case.endswith("zero") else "-1"]
     elif case == "chain-bounds-overflow":  # a values past 1e308 at length 10
         argv = ["chain-bounds", "--rho", "poly:2,2", "--length", "10"]
+    elif case == "decompose-negative-max-steps":
+        argv = ["decompose", "--set", str(gen_set(tmp_path)), "--delta", "0.4",
+                "--max-steps", "-1", "--out", out]
+    elif case.startswith("chain-bounds-") and case.endswith("-past-cap"):
+        # refused before any table is built: 2^1001 strings, 4e12 tau rows
+        argv = (["chain-bounds", "--length", "1000"] if "length" in case
+                else ["chain-bounds", "--tau-xmax", "1000000"])
     elif case.startswith("gen-params-"):
         params = {"list": "[1]", "null": "null", "string": '"x"'}[case[11:]]
         argv = ["gen", "--kind", "random", "--params", params, "--p", "3",

@@ -15,7 +15,8 @@ from quadreg.localnorms import (DegenerateLabelError, LocalLabelTuple,
                                 norm_P_eighth, norm_TW_eighth, omega_count,
                                 omega_predicted, sigma_label,
                                 trivial_local_label)
-from reference import atom_label_of, beta_Q, k222_members, omega_members
+from reference import (atom_label_of, beta_Q, decode, k222_members,
+                       omega_members)
 
 
 def hyperplane_factor():
@@ -56,7 +57,7 @@ def test_omega_members_match_count():
             cube = [x]
             for h in hs:
                 cube += [int(g.add[pt, h]) for pt in cube]
-            assert all(atom_label_of(B, g.decode(pt)) == e for pt in cube)
+            assert all(atom_label_of(B, decode(g, pt)) == e for pt in cube)
 
 
 def test_omega_codes_count_every_label():
@@ -169,7 +170,7 @@ def test_tw_matches_definitional_bruteforce():
     atoms = [list(B.enumerate_atom(lab)) for lab in (d.d_a, d.d_b, d.d_c)]
 
     def bq(u, v):
-        return beta_Q(B, g.decode(u), g.decode(v))
+        return beta_Q(B, decode(g, u), decode(g, v))
 
     fib = {v: fibre_size(B, (v,)) for v in range(p)}
     total = 0.0

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -66,19 +67,6 @@ def test_threshold_and_budget():
     assert RunConfig(max_steps=7).budget(0.5) == 7
 
 
-def test_poly_values_and_correlation():
-    g = group(3, 2)
-    M = ((1, 0), (0, 1))
-    r = (0, 0)
-    vals = poly_values(g, M, r, 0)
-    A = planted_set().astype(np.float64)
-    # the atom value-2 indicator correlates with its own phase
-    members = np.arange(g.size)
-    c = correlation(A - A.mean(), g, members, M, r, 0)
-    assert c > 0.1
-    assert vals.shape == (g.size,)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_monomial_order_is_matrix_order(n):
     # the oracle's design columns and _coeffs_to_matrix share one order
@@ -127,6 +115,47 @@ def test_witness_achieves_reported_correlation(monkeypatch, n, search):
             assert wit.M[0][1] != 0 and any(wit.r)
         got = correlation(f, g, members, wit.M, wit.r)
         assert abs(got - wit.correlation) <= 1e-12
+
+
+def _documented_witness(f, g, members):
+    """(M, r, correlation) by inverse_oracle's documented rule, from the
+    reference correlation of every (M, r): quadratic parts in product order
+    of their monomial coefficients, r = -s for the frequencies s in encoded
+    order, moduli (correlation times |atom|) tying within TIE."""
+    n, rs, best = g.n, [tuple((-c % 3).tolist()) for c in g.coords], []
+    for coeffs in product(range(3), repeat=n * (n + 1) // 2):
+        M = np.zeros((n, n), dtype=int)
+        for i, j, c in zip(*np.triu_indices(n), coeffs):
+            M[i, j] = M[j, i] = c if i == j else 2 * c % 3  # 2 = 1/2 mod 3
+        M = tuple(map(tuple, M.tolist()))
+        mods = [correlation(f, g, members, M, r) * len(members) for r in rs]
+        s = next(s for s, m in enumerate(mods)
+                 if m >= max(mods) - regularity.TIE)
+        best.append((M, rs[s], mods[s]))
+    top = max(m for _, _, m in best)
+    M, r, m = next(w for w in best if w[2] >= top - regularity.TIE)
+    return M, r, m / len(members)
+
+
+def test_oracle_returns_the_documented_witness():
+    # the real f = 1_{e0} - 1_{-e0} ties every part with the zero part, and
+    # there |fhat(s)| = |fhat(-s)|; the random cells tie frequencies too
+    g = group(3, 2)
+    pair = np.zeros(g.size)
+    pair[g.encode((1, 0))], pair[g.encode((2, 0))] = 1, -1
+    cells = [(pair, np.arange(g.size))]
+    for seed in range(3):
+        A = generate_set("random", {}, seed, 3, 2)
+        for members in (np.arange(g.size), np.flatnonzero(g.coords[:, 0] == 1)):
+            f = np.zeros(g.size)
+            f[members] = A[members] - A[members].mean()
+            cells.append((f, members))
+    for f, members in cells:
+        M, r, corr = _documented_witness(f, g, members)
+        wit = inverse_oracle(f, g, members, 0.01, RunConfig(),
+                             np.random.default_rng(0))
+        assert (wit.M, wit.r) == (M, r)
+        assert abs(wit.correlation - corr) <= 1e-12
 
 
 def test_cylinder_planted_recovery_small():

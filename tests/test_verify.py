@@ -5,12 +5,13 @@ import numpy as np
 from quadreg import gf
 from quadreg.generators import random_factor
 from quadreg.verify import count_bad_w_tuples
+from reference import decode, mat_mul_vec
 
 
 def direct_bad_w_tuples(B):
     """Tuples (w_1..w_4) whose rows L u {M w_i} have rank below their count."""
     g = B.grp
-    images = [[gf.mat_mul_vec(M, g.decode(w), B.p) for M in B.Q]
+    images = [[mat_mul_vec(M, decode(g, w), B.p) for M in B.Q]
               for w in range(g.size)]
     bad = 0
     for ws in product(range(g.size), repeat=4):
