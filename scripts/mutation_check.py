@@ -192,6 +192,15 @@ MUTATIONS = [
              ("tests/test_chains.py::"
               "test_deletion_adds_exactly_the_row_space[extra-vector]",
               "tests/test_chains.py::test_deletion_through_a_later_combination")),
+    Mutation("dense arrays", "as_values accepts any length", "gowers.py",
+             "if v.shape != (grp.size,):", "if False:",
+             ("tests/test_regularity.py::"
+              "test_decompose_refuses_a_set_of_the_wrong_length",
+              "tests/test_vc2.py::test_search_refuses_a_set_of_the_wrong_length",
+              "tests/test_cli.py::test_bad_input_exits_4[norms-function-wrong-length]")),
+    Mutation("CSV files", "the CSV writer drops the header row", "io.py",
+             "            w.writerow(header)\n", "",
+             ("tests/test_cli.py::test_norms_command", VERIFY_QUICK)),
 ]
 
 

@@ -11,7 +11,6 @@ and runs 2,000 randomized restarts past that (from n=4 at p=3).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -32,8 +31,9 @@ MAX_TAU_ROWS = 10 ** 5
 
 
 def cmd_decompose(args) -> int:
-    if not 0 < args.delta <= 1:
-        raise io.InputError("--delta must lie in (0, 1]")
+    # a cell is uniform below delta^8, which rounds to 0 below about 3.5e-41
+    if not (0 < args.delta <= 1 and args.delta ** 8 > 0):
+        raise io.InputError("--delta must lie in (0, 1] and exceed about 3.5e-41")
     if args.max_steps is not None and args.max_steps < 0:
         raise io.InputError("--max-steps must be at least 0")
     A, p, n = io.set_from_dict(io.load_json(args.set))
@@ -88,11 +88,12 @@ def cmd_vc2(args) -> int:
 def cmd_chain_bounds(args) -> int:
     with io.input_errors("--rho"):
         rho = GrowthFunction.parse(args.rho)
-    if args.length > MAX_LENGTH:
-        raise io.InputError(f"--length must be at most {MAX_LENGTH}")
-    if (args.tau_imax + 1) * (args.tau_xmax + 1) ** 2 > MAX_TAU_ROWS:
-        raise io.InputError("(--tau-imax + 1)(--tau-xmax + 1)^2 must be at "
-                            f"most {MAX_TAU_ROWS}")
+    if not 0 <= args.length <= MAX_LENGTH:
+        raise io.InputError(f"--length must lie in [0, {MAX_LENGTH}]")
+    if (min(args.tau_imax, args.tau_xmax) < 0
+            or (args.tau_imax + 1) * (args.tau_xmax + 1) ** 2 > MAX_TAU_ROWS):
+        raise io.InputError("need --tau-imax, --tau-xmax >= 0 and (--tau-imax"
+                            f" + 1)(--tau-xmax + 1)^2 <= {MAX_TAU_ROWS}")
     # every value is converted before any row is written, so an overflow
     # leaves no partial table
     try:
@@ -105,12 +106,8 @@ def cmd_chain_bounds(args) -> int:
     except OverflowError:
         raise io.InputError("chain-bounds: a value does not fit a float; "
                             "lower --length or --tau-imax") from None
-    w = csv.writer(sys.stdout)
-    w.writerow(["sigma", "a", "b"])
-    w.writerows(f_rows)
-    w.writerow([])
-    w.writerow(["tau_i", "x", "y", "value"])
-    w.writerows(tau_rows)
+    io.write_csv(sys.stdout, (["sigma", "a", "b"], f_rows),
+                 (["tau_i", "x", "y", "value"], tau_rows))
     return 0
 
 
@@ -121,17 +118,15 @@ def cmd_norms(args) -> int:
     f, p, n = io.function_from_dict(io.load_json(args.function))
     if (p, n) != (B.p, B.n):
         raise io.InputError("function and factor live on different groups")
-    with open(args.out, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=localnorms.REPORT_COLUMNS,
-                           extrasaction="ignore")
-        w.writeheader()
-        for e in B.all_labels():
-            # canonical local-label with d_a = e and everything else zero
-            d = dataclasses.replace(localnorms.trivial_local_label(B), d_a=e)
-            rep = localnorms.norm_equivalence_report(f, B, e, d)
-            if rep["degenerate"]:
-                rep |= {"normTW8": "degenerate", "diff": ""}
-            w.writerow(rep)
+    rows = []
+    for e in B.all_labels():
+        # canonical local-label with d_a = e and everything else zero
+        d = dataclasses.replace(localnorms.trivial_local_label(B), d_a=e)
+        rep = localnorms.norm_equivalence_report(f, B, e, d)
+        if rep["degenerate"]:
+            rep |= {"normTW8": "degenerate", "diff": ""}
+        rows.append([rep[c] for c in localnorms.REPORT_COLUMNS])
+    io.write_csv(args.out, (localnorms.REPORT_COLUMNS, rows))
     return 0
 
 

@@ -53,5 +53,7 @@ def generate_set(kind: str, params: dict, seed: int, p: int, n: int) -> np.ndarr
     B = QuadraticFactor(p, n, params.get("L", []), params.get("Q", []))
     mask = np.zeros(g.size, dtype=bool)
     for lab in params["labels"]:
+        if (len(lab["a"]), len(lab["b"])) != (B.l, B.q):
+            raise ValueError(f"label {lab} needs {B.l} a and {B.q} b digits")
         mask |= B.atom_indicator((tuple(lab["a"]), tuple(lab["b"])))
     return mask

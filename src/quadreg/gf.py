@@ -24,7 +24,7 @@ def check_odd_prime(p: int) -> None:
 
 
 class Group:
-    """The group F_p^n with precomputed encode/decode and addition tables."""
+    """The group F_p^n with precomputed coordinates and addition tables."""
 
     def __init__(self, p: int, n: int):
         check_odd_prime(p)
@@ -50,9 +50,6 @@ class Group:
             ((digits[:, None, :] + digits[None, :, :]) % p) @ self._powers
         )
         self.neg = (((-digits) % p) @ self._powers).astype(np.int64)
-
-    def encode(self, vec) -> int:
-        return int(sum((v % self.p) * self.p ** i for i, v in enumerate(vec)))
 
     def __repr__(self):
         return f"Group(p={self.p}, n={self.n})"

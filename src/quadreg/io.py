@@ -1,16 +1,17 @@
 """File formats: JSON sets, functions, factors and partitions, canonically
-ordered (sorted keys) so diffs are meaningful, and the CSV decomposition trace."""
+ordered (sorted keys) so diffs are meaningful, and every CSV file."""
 
 from __future__ import annotations
 
 import csv
 import json
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
 from .factors import QuadraticFactor
 from .gf import group
+from .gowers import as_values
 
 
 class InputError(ValueError):
@@ -49,13 +50,8 @@ def load_json(path):
 # -- sets / functions --------------------------------------------------------
 
 def set_to_dict(A, p: int, n: int) -> dict:
-    mask = np.asarray(A, dtype=bool)
-    return {
-        "p": p,
-        "n": n,
-        "kind": "indicator",
-        "elements": sorted(int(i) for i in np.nonzero(mask)[0]),
-    }
+    return {"p": p, "n": n, "kind": "indicator",
+            "elements": np.flatnonzero(A).tolist()}
 
 
 def function_to_dict(values, p: int, n: int) -> dict:
@@ -76,9 +72,7 @@ def function_from_dict(d: dict):
             v[members] = 1.0
             return v, d["p"], d["n"]
         if d["kind"] == "dense":
-            v = np.asarray(d["values"], dtype=np.float64)
-            if v.shape != (g.size,):
-                raise InputError("dense values of wrong length")
+            v = as_values(np.asarray(d["values"], dtype=np.float64), g)
             if not np.isfinite(v).all():
                 raise InputError("dense values must be finite")
             return v, d["p"], d["n"]
@@ -87,6 +81,8 @@ def function_from_dict(d: dict):
 
 def set_from_dict(d: dict):
     v, p, n = function_from_dict(d)
+    if not np.isin(v, (0, 1)).all():
+        raise InputError("dense set values must be 0 or 1")
     return v.astype(bool), p, n
 
 
@@ -127,12 +123,21 @@ def global_to_dict(B: QuadraticFactor, report) -> dict:
 
 def save_trace(path, trace) -> None:
     """One CSV row per step record, the exact indices written as floats."""
-    fields = ["step", "kind", "index_before", "index_after",
+    header = ["step", "kind", "index_before", "index_after",
               "nonuniform_mass", "deletions", "witnesses"]
-    with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=fields)
-        w.writeheader()
-        for t in trace:
-            w.writerow({k: getattr(t, k) for k in fields}
-                       | {"index_before": float(t.index_before),
-                          "index_after": float(t.index_after)})
+    write_csv(path, (header, [
+        [t.step, t.kind, float(t.index_before), float(t.index_after),
+         t.nonuniform_mass, t.deletions, t.witnesses] for t in trace]))
+
+
+def write_csv(out, *tables) -> None:
+    """Write each (header, rows) table as CSV to `out`, a path or an open
+    text stream, with a blank row between tables."""
+    with (nullcontext(out) if hasattr(out, "write")
+          else open(out, "w", newline="")) as fh:
+        w = csv.writer(fh)
+        for i, (header, rows) in enumerate(tables):
+            if i:
+                w.writerow([])
+            w.writerow(header)
+            w.writerows(rows)

@@ -6,6 +6,7 @@ approximating union of atoms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -46,7 +47,7 @@ class RunConfig:
     def budget(self, delta: float) -> int:
         if self.max_steps is not None:
             return self.max_steps
-        return int(np.ceil(C_INV ** 2 * delta ** (-2 * C_INV - 2)))
+        return math.ceil(C_INV ** 2 / Fraction(delta) ** (2 * C_INV + 2))
 
 
 # -- index / Pythagoras ------------------------------------------------------
@@ -281,10 +282,8 @@ def _decompose(A, delta: float, rho, config: RunConfig, p: int, n: int,
     low-rank and the non-uniform mass is <= delta |G|.
 
     Returns (cells, trace, final index, non-uniform mass)."""
-    A = np.asarray(A, dtype=bool)
     g = group(p, n)
-    if A.shape != (g.size,):
-        raise ValueError("set indicator has wrong length")
+    A = gowers.as_values(A, g).astype(bool)
     rng = np.random.default_rng(config.seed)
     everything = np.arange(g.size)
     cells = _atoms(A, everything, QuadraticFactor(p, n), (), [], delta)

@@ -21,6 +21,7 @@ from math import comb
 import numpy as np
 
 from .gf import Group
+from .gowers import as_values
 
 KMAX_HARD = 3
 
@@ -30,10 +31,7 @@ _BATCH_ENTRIES = 1 << 16  # candidates x points x translates per batch
 def _search_mask(A, grp: Group, k: int) -> np.ndarray:
     if k > KMAX_HARD:
         raise ValueError(f"k > {KMAX_HARD} refused")
-    m = np.asarray(A, dtype=bool)
-    if m.shape != (grp.size,):
-        raise ValueError("set must be a dense mask over the group")
-    return m
+    return as_values(A, grp).astype(bool)
 
 
 def _first_shattered(T: np.ndarray, points, count: int, m: int):

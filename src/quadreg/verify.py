@@ -9,7 +9,6 @@ diagnostics CSVs (size-lemma ratios, norm-equivalence diffs).
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import os
@@ -18,7 +17,7 @@ from itertools import islice, product
 
 import numpy as np
 
-from . import gf, gowers, localnorms, vc2
+from . import gf, gowers, io, localnorms, vc2
 from .chains import GrowthFunction, corollary_chain_bound, f_table, tau
 from .factors import QuadraticFactor
 from .generators import random_factor
@@ -349,8 +348,8 @@ def write_size_diagnostics(path, level):
             denom = math.prod(sizes + fibres, start=1.0)
             rows.append((fi, r, "triple_product_avg", d,
                          k111 * float(N) ** 6 / denom / N ** 3, 1.0))
-    _write_csv(path, ["factor", "rank", "kind", "label", "observed",
-                      "predicted"], rows)
+    io.write_csv(path, (["factor", "rank", "kind", "label", "observed",
+                         "predicted"], rows))
 
 
 def write_norm_equivalence_diagnostics(path, level):
@@ -363,14 +362,7 @@ def write_norm_equivalence_diagnostics(path, level):
         f = rng.uniform(-1, 1, B.grp.size)
         rows += [[fi] + [rep[c] for c in header[1:]]
                  for rep in localnorms.norm_equivalence_samples(f, B, 6)]
-    _write_csv(path, header, rows)
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+    io.write_csv(path, (header, rows))
 
 
 CHECKS = [

@@ -24,6 +24,11 @@ def decode(g, idx: int) -> tuple:
     return tuple(int(c) for c in g.coords[idx])
 
 
+def encode(g, vec) -> int:
+    """The little-endian base-p code of the group element `vec`."""
+    return int(sum((v % g.p) * g.p ** i for i, v in enumerate(vec)))
+
+
 def mat_mul_vec(M, v, p):
     return tuple(sum(mij * vj for mij, vj in zip(row, v)) % p for row in M)
 

@@ -91,6 +91,15 @@ def test_decompose_budget_exit_code(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("delta", ["1e-40", "3.6e-41"])
+def test_decompose_at_a_tiny_delta(tmp_path, delta):
+    # delta^-10 overflows a float below about 1.6e-31; the budget is an exact
+    # int, and 3.6e-41 is just above the floor where delta^8 rounds to 0
+    s = gen_set(tmp_path)
+    assert main(["decompose", "--set", str(s), "--delta", delta,
+                 "--out", str(tmp_path / "out")]) == 0
+
+
 def test_vc2_command(tmp_path, capsys):
     s = gen_set(tmp_path, kind="quadratic-variety",
                 params={"M": [[1, 0], [0, 1]], "value": 1}, p=3, n=2)
@@ -208,7 +217,14 @@ def _write(path, obj):
                                   "set-group-too-large",
                                   "decompose-negative-max-steps",
                                   "chain-bounds-length-past-cap",
-                                  "chain-bounds-tau-table-past-cap"])
+                                  "chain-bounds-tau-table-past-cap",
+                                  "chain-bounds-negative-length",
+                                  "chain-bounds-negative-tau-imax",
+                                  "chain-bounds-negative-tau-xmax",
+                                  "decompose-delta-eighth-power-zero",
+                                  "decompose-dense-set-not-0-1",
+                                  "gen-label-digit-count",
+                                  "norms-function-wrong-length"])
 def test_bad_input_exits_4(tmp_path, capsys, case):
     out = str(tmp_path / "out")
     # decompose cases: (p, n, members, delta); 3^30 is past the largest group
@@ -218,6 +234,7 @@ def test_bad_input_exits_4(tmp_path, capsys, case):
                  "boolean-member": (3, 2, [True, 2], "0.4"),
                  "unsupported-p": (4, 2, [0], "0.4"),
                  "delta-zero": (3, 2, [0], "0"),
+                 "decompose-delta-eighth-power-zero": (3, 2, [0], "3.5e-41"),
                  "set-group-too-large": (3, 30, [0], "0.4")}
     if case in decompose:
         p, n, members, delta = decompose[case]
@@ -265,6 +282,17 @@ def test_bad_input_exits_4(tmp_path, capsys, case):
         # refused before any table is built: 2^1001 strings, 4e12 tau rows
         argv = (["chain-bounds", "--length", "1000"] if "length" in case
                 else ["chain-bounds", "--tau-xmax", "1000000"])
+    elif case.startswith("chain-bounds-negative-"):  # two empty tables, exit 0
+        option = "--" + case[len("chain-bounds-negative-"):]
+        argv = ["chain-bounds", option, "-3"]
+    elif case == "decompose-dense-set-not-0-1":  # once read as {0, 1, 8}
+        s = _write(tmp_path / "f.json", io.function_to_dict(
+            [0.5, -2] + [0] * 6 + [0.001], 3, 2))
+        argv = ["decompose", "--set", s, "--delta", "0.4", "--out", out]
+    elif case == "gen-label-digit-count":  # two a digits for one linear form
+        argv = ["gen", "--kind", "atom-union", "--params",
+                '{"L": [[1, 0]], "labels": [{"a": [0, 1], "b": []}]}',
+                "--p", "3", "--n", "2", "--out", out]
     elif case.startswith("gen-params-"):
         params = {"list": "[1]", "null": "null", "string": '"x"'}[case[11:]]
         argv = ["gen", "--kind", "random", "--params", params, "--p", "3",
@@ -282,6 +310,11 @@ def test_bad_input_exits_4(tmp_path, capsys, case):
         argv = ["gen", "--kind", "random", "--params",
                 json.dumps({"density": density}), "--p", "3", "--n", "2",
                 "--out", out]
+    elif case == "norms-function-wrong-length":  # 8 values on a 9-point group
+        factor = _write(tmp_path / "factor.json",
+                        factor_to_dict(QuadraticFactor(3, 2, [(1, 0)], [])))
+        fn = _write(tmp_path / "f.json", io.function_to_dict([0.5] * 8, 3, 2))
+        argv = ["norms", "--factor", factor, "--function", fn, "--out", out]
     elif case in ("norms-nan-value", "norms-infinite-value",
                   "decompose-nan-value"):
         bad = float("nan") if "nan" in case else float("inf")

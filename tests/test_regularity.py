@@ -13,7 +13,7 @@ from quadreg.localnorms import norm_P_eighth
 from quadreg.regularity import (BudgetExceeded, RunConfig, assemble_main,
                                 cylinder_decompose, global_decompose, index,
                                 inverse_oracle, validate_cells)
-from reference import correlation, poly_values
+from reference import correlation, encode, poly_values
 
 
 def atom_parts(B):
@@ -65,6 +65,16 @@ def test_threshold_and_budget():
     assert cfg.threshold(0.5) == 0.5 ** 4 / 4
     assert cfg.budget(0.5) == int(np.ceil(16 * 0.5 ** -10))
     assert RunConfig(max_steps=7).budget(0.5) == 7
+    # an exact int past a float's range: 16 * 1e400, to float precision
+    assert abs(cfg.budget(1e-40) - 16 * 10 ** 400) < 10 ** 387
+
+
+@pytest.mark.parametrize("decompose", [cylinder_decompose, global_decompose])
+@pytest.mark.parametrize("size", [8, 10])
+def test_decompose_refuses_a_set_of_the_wrong_length(decompose, size):
+    with pytest.raises(ValueError, match="dense over 9"):
+        decompose(np.zeros(size, dtype=bool), 0.4, GrowthFunction(1),
+                  RunConfig(), p=3, n=2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -142,7 +152,7 @@ def test_oracle_returns_the_documented_witness():
     # there |fhat(s)| = |fhat(-s)|; the random cells tie frequencies too
     g = group(3, 2)
     pair = np.zeros(g.size)
-    pair[g.encode((1, 0))], pair[g.encode((2, 0))] = 1, -1
+    pair[encode(g, (1, 0))], pair[encode(g, (2, 0))] = 1, -1
     cells = [(pair, np.arange(g.size))]
     for seed in range(3):
         A = generate_set("random", {}, seed, 3, 2)

@@ -16,6 +16,12 @@ def test_baselines_empty_and_full():
     assert vc2.vc_dim(np.ones(g.size, dtype=bool), g) == 0
 
 
+@pytest.mark.parametrize("size", [8, 10])
+def test_search_refuses_a_set_of_the_wrong_length(size):
+    with pytest.raises(ValueError, match="dense over 9"):
+        vc2.vc2_dim(np.zeros(size, dtype=bool), group(3, 2))
+
+
 def test_vc_at_least_monotone():
     g = group(3, 2)
     B = QuadraticFactor(3, 2, [], [np.eye(2, dtype=int).tolist()])
