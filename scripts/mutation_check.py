@@ -201,6 +201,16 @@ MUTATIONS = [
     Mutation("CSV files", "the CSV writer drops the header row", "io.py",
              "            w.writerow(header)\n", "",
              ("tests/test_cli.py::test_norms_command", VERIFY_QUICK)),
+    Mutation("verify report", "verify prints no failure detail", "cli.py",
+             "if detail is not None)", "if False)",
+             ("tests/test_cli.py::test_verify_names_each_failing_check",)),
+    Mutation("integer input", "the integer rule accepts floats", "gf.py",
+             "isinstance(x, (int, np.integer))",
+             "isinstance(x, (int, float, np.integer))",
+             tuple(f"tests/test_cli.py::test_bad_input_exits_4[{case}]" for case in (
+                 "fractional-member", "norms-factor-fractional-entry",
+                 "gen-coset-fractional-entry", "gen-variety-fractional-value",
+                 "gen-label-fractional-digit"))),
 ]
 
 

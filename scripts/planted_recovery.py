@@ -13,8 +13,7 @@ import numpy as np
 from quadreg.chains import GrowthFunction
 from quadreg.factors import QuadraticFactor
 from quadreg.gf import group
-from quadreg.regularity import (RunConfig, assemble_main, cylinder_decompose,
-                                validate_cells)
+from quadreg.regularity import assemble_main, cylinder_decompose, validate_cells
 
 
 def main():
@@ -32,9 +31,9 @@ def main():
           f"|A|={int(A.sum())}, rank={B.rank()}")
 
     rho = GrowthFunction(1)
-    cfg = RunConfig(seed=args.seed)
     t0 = time.time()
-    cells, report = cylinder_decompose(A, args.delta, rho, cfg, p=p, n=args.n)
+    cells, report = cylinder_decompose(A, args.delta, rho, p=p, n=args.n,
+                                       seed=args.seed)
     print(f"cylinder: {report['steps']} step(s), {len(cells)} cell(s), "
           f"{time.time() - t0:.2f}s")
     for t in report["trace"]:
@@ -46,7 +45,8 @@ def main():
     dens = sorted({c.density for c in cells})
     print(f"cell densities on A: {dens}")
 
-    Bout, Y, rep = assemble_main(A, args.delta, rho, cfg, p=p, n=args.n)
+    Bout, Y, rep = assemble_main(A, args.delta, rho, p=p, n=args.n,
+                                 seed=args.seed)
     print(f"assembled factor complexity {rep['complexity']} rank {rep['rank']} "
           f"|A xor Y| = {rep['sym_diff']}")
 

@@ -26,8 +26,9 @@ class QuadraticFactor:
         self.p = p
         self.n = n
         self.grp = group(p, n)
-        self.L = tuple(tuple(int(c) % p for c in v) for v in L)
-        self.Q = tuple(tuple(tuple(int(c) % p for c in row) for row in M) for M in Q)
+        self.L = tuple(tuple(gf.as_int(c, "a factor entry") % p for c in v) for v in L)
+        self.Q = tuple(tuple(tuple(gf.as_int(c, "a factor entry") % p for c in row)
+                             for row in M) for M in Q)
         if any(len(v) != n for v in self.L):
             raise ValueError("linear generator of wrong length")
         for M in self.Q:

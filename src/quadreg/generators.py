@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .factors import QuadraticFactor
-from .gf import group, is_independent
+from .gf import as_int, group, is_independent
 
 
 def random_factor(p, n, lmax, qmax, rng) -> QuadraticFactor:
@@ -45,7 +45,7 @@ def generate_set(kind: str, params: dict, seed: int, p: int, n: int) -> np.ndarr
     # a quadratic variety and a coset are one-atom unions
     if kind == "quadratic-variety":
         params = {"Q": [params["M"]],
-                  "labels": [{"a": [], "b": [int(params.get("value", 0))]}]}
+                  "labels": [{"a": [], "b": [params.get("value", 0)]}]}
     elif kind == "coset":
         params = {"L": params["L"], "labels": [{"a": params["a"], "b": []}]}
     elif kind != "atom-union":
@@ -53,7 +53,8 @@ def generate_set(kind: str, params: dict, seed: int, p: int, n: int) -> np.ndarr
     B = QuadraticFactor(p, n, params.get("L", []), params.get("Q", []))
     mask = np.zeros(g.size, dtype=bool)
     for lab in params["labels"]:
-        if (len(lab["a"]), len(lab["b"])) != (B.l, B.q):
+        a, b = ([as_int(d, "a label digit") for d in lab[k]] for k in "ab")
+        if (len(a), len(b)) != (B.l, B.q):
             raise ValueError(f"label {lab} needs {B.l} a and {B.q} b digits")
-        mask |= B.atom_indicator((tuple(lab["a"]), tuple(lab["b"])))
+        mask |= B.atom_indicator((a, b))
     return mask

@@ -13,9 +13,16 @@ from functools import lru_cache
 import numpy as np
 
 _SMALL_PRIMES = {3, 5, 7, 11, 13, 17, 19, 23}
-# largest group built: building the add table holds two (p^n, p^n, n) int64
-# arrays, 16 n p^(2n) bytes: 0.5 GB at 3^7, 5.5 GB at 3^8
+# largest group built: the add table and the bq and VC tables are (p^n, p^n)
+# arrays, 8 p^(2n) bytes in int64 (38 MB at 3^7, 344 MB at 3^8)
 MAX_GROUP_SIZE = 3 ** 7
+
+
+def as_int(x, what: str) -> int:
+    """x as an int if it is a JSON or numpy integer, not a float, bool or str."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise TypeError(f"{what} must be an integer, not {x!r}")
+    return int(x)
 
 
 def check_odd_prime(p: int) -> None:
@@ -44,12 +51,11 @@ class Group:
         for k in range(n):
             digits[:, k] = (idx // (p ** k)) % p
         self.coords = digits
-        self._powers = np.array([p ** k for k in range(n)], dtype=np.int64)
-        # add[a, b] = encoding of (decode(a) + decode(b)) mod p
-        self.add = (
-            ((digits[:, None, :] + digits[None, :, :]) % p) @ self._powers
-        )
-        self.neg = (((-digits) % p) @ self._powers).astype(np.int64)
+        # add[a, b] = encoding of (decode(a) + decode(b)) mod p, summed one
+        # coordinate at a time so that no (p^n, p^n, n) array is built
+        self.add = sum((digits[:, None, k] + digits[None, :, k]) % p * p ** k
+                       for k in range(n))
+        self.neg = ((-digits) % p) @ p ** np.arange(n)
 
     def __repr__(self):
         return f"Group(p={self.p}, n={self.n})"

@@ -10,7 +10,7 @@ from contextlib import contextmanager, nullcontext
 import numpy as np
 
 from .factors import QuadraticFactor
-from .gf import group
+from .gf import as_int, group
 from .gowers import as_values
 
 
@@ -63,9 +63,8 @@ def function_from_dict(d: dict):
     with input_errors("set/function file"):
         g = group(d["p"], d["n"])
         if d["kind"] == "indicator":
-            if any(type(m) is not int for m in d["elements"]):
-                raise InputError("set members must be integers")
-            members = np.asarray(d["elements"], dtype=np.int64)
+            members = np.array([as_int(m, "a set member") for m in d["elements"]],
+                               dtype=np.int64)
             if members.size and not 0 <= members.min() <= members.max() < g.size:
                 raise InputError(f"set members must lie in [0, {g.size})")
             v = np.zeros(g.size, dtype=np.float64)
@@ -117,7 +116,7 @@ def cells_to_dict(cells, p: int, n: int) -> dict:
 def global_to_dict(B: QuadraticFactor, report) -> dict:
     """A global decomposition's partition: its factor and its report."""
     return {"mode": "global", "factor": factor_to_dict(B),
-            "complexity": list(report["complexity"]), "rank": report["rank"],
+            "complexity": list(B.complexity()), "rank": B.rank(),
             "nonuniform_mass": report["nonuniform_mass"]}
 
 

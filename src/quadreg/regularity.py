@@ -36,32 +36,22 @@ class BudgetExceeded(RuntimeError):
         self.state = state
 
 
-@dataclass
-class RunConfig:
-    max_steps: int | None = None
-    seed: int = 0
+def threshold(delta: float) -> float:
+    """The witness threshold delta^C/C."""
+    return delta ** C_INV / C_INV
 
-    def threshold(self, delta: float) -> float:
-        return delta ** C_INV / C_INV
 
-    def budget(self, delta: float) -> int:
-        if self.max_steps is not None:
-            return self.max_steps
-        return math.ceil(C_INV ** 2 / Fraction(delta) ** (2 * C_INV + 2))
+def budget(delta: float) -> int:
+    """The default step budget C^2 delta^(-2C-2), an exact int."""
+    return math.ceil(C_INV ** 2 / Fraction(delta) ** (2 * C_INV + 2))
 
 
 # -- index / Pythagoras ------------------------------------------------------
 
 def index(A: np.ndarray, parts, N: int) -> Fraction:
     """(1/p^n) sum over parts of (|A cap P|/|P|)^2 |P|, exact."""
-    total = Fraction(0)
-    for P in parts:
-        sz = len(P)
-        if sz == 0:
-            continue
-        hits = int(np.count_nonzero(A[P]))
-        total += Fraction(hits * hits, sz)
-    return total / N
+    return sum((_density(A, P) ** 2 * len(P) for P in parts if len(P)),
+               Fraction(0)) / N
 
 
 def _density(A: np.ndarray, P) -> Fraction:
@@ -123,7 +113,7 @@ def _coeffs_to_matrix(grp: Group, quad_coeffs):
 
 
 def inverse_oracle(f, grp: Group, members: np.ndarray, delta: float,
-                   config: RunConfig, rng: np.random.Generator):
+                   rng: np.random.Generator):
     """Search for a quadratic polynomial whose phase correlates with f on the
     atom at level >= delta^C/C.  The candidate quadratic parts q_k are all
     p^{n(n+1)/2} in product order while the p^{n(n+1)/2 + n + 1} polynomials
@@ -160,7 +150,7 @@ def inverse_oracle(f, grp: Group, members: np.ndarray, delta: float,
         mod[k] = mags[freq[k]]
     k = int(np.argmax(mod >= mod.max() - TIE))
     correlation = float(mod[k]) / len(members)
-    if correlation < config.threshold(delta):
+    if correlation < threshold(delta):
         return None
     r = tuple(int((-c) % p) for c in grp.coords[freq[k]])
     return InverseWitness(M=_coeffs_to_matrix(grp, parts[k]), r=r,
@@ -224,7 +214,7 @@ def _resplit(A, cells, new_factors: dict, bit: int, delta):
     return out
 
 
-def _search(A, cells, delta, config: RunConfig, rng, state) -> dict:
+def _search(A, cells, delta, rng, state) -> dict:
     """inverse_oracle on every cell in list order (which fixes the rng
     draws); {id(cell): witness}, or OracleFailure naming the cells that
     have none."""
@@ -232,7 +222,7 @@ def _search(A, cells, delta, config: RunConfig, rng, state) -> dict:
     for c in cells:
         g = c.factor.grp
         f = _centred(A, c.members, c.density, g.size)
-        wit = inverse_oracle(f, g, c.members, delta, config, rng)
+        wit = inverse_oracle(f, g, c.members, delta, rng)
         if wit is None:
             failed.append(c)
         else:
@@ -271,8 +261,8 @@ class StepRecord:
     corr_bound: float       # float bound from achieved correlations
 
 
-def _decompose(A, delta: float, rho, config: RunConfig, p: int, n: int,
-               shared: bool):
+def _decompose(A, delta: float, rho, p: int, n: int, seed: int,
+               max_steps: int | None, shared: bool):
     """The energy-increment loop shared by both decompositions.  Type -1
     steps replace every low-rank cell by its atoms under its factor minus
     one matrix (rho_matrix_delete).  Type +1 steps run the oracle on every
@@ -284,12 +274,12 @@ def _decompose(A, delta: float, rho, config: RunConfig, p: int, n: int,
     Returns (cells, trace, final index, non-uniform mass)."""
     g = group(p, n)
     A = gowers.as_values(A, g).astype(bool)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     everything = np.arange(g.size)
     cells = _atoms(A, everything, QuadraticFactor(p, n), (), [], delta)
     ind = index(A, [c.members for c in cells], g.size)
     trace: list[StepRecord] = []
-    budget = config.budget(delta)
+    limit = budget(delta) if max_steps is None else max_steps
     while True:
         # low-rank cells (q = 0 has rank n by convention); a shared factor
         # is rank-refined whenever it is built
@@ -300,7 +290,7 @@ def _decompose(A, delta: float, rho, config: RunConfig, p: int, n: int,
         mass = sum(len(c.members) for c in nonuni)
         if not low and mass <= delta * g.size:
             return cells, trace, ind, mass
-        if len(trace) >= budget:
+        if len(trace) >= limit:
             raise BudgetExceeded(state={"cells": cells, "trace": trace})
         if low:
             kind, witnesses = -1, 0
@@ -311,7 +301,7 @@ def _decompose(A, delta: float, rho, config: RunConfig, p: int, n: int,
             jensen, corr_bound = Fraction(0), 0.0
         else:
             kind = 1
-            found = _search(A, nonuni, delta, config, rng,
+            found = _search(A, nonuni, delta, rng,
                             state={"cells": cells, "trace": trace})
             witnesses = len(found)
             if shared:
@@ -340,8 +330,8 @@ def _decompose(A, delta: float, rho, config: RunConfig, p: int, n: int,
         cells, ind = new_cells, ind_after
 
 
-def cylinder_decompose(A, delta: float, rho, config: RunConfig, *,
-                       p: int, n: int):
+def cylinder_decompose(A, delta: float, rho, *, p: int, n: int,
+                       seed: int = 0, max_steps: int | None = None):
     """Iteratively refine a partition of G into atoms of per-cell factors:
     type -1 steps delete a low-rank matrix from every low-rank cell's factor,
     type +1 steps split every non-uniform cell along an inverse witness.
@@ -349,27 +339,26 @@ def cylinder_decompose(A, delta: float, rho, config: RunConfig, *,
 
     Returns (cells, report) where report carries the per-step trace.
     """
-    cells, trace, ind, mass = _decompose(A, delta, rho, config, p, n,
-                                         shared=False)
+    cells, trace, ind, mass = _decompose(A, delta, rho, p, n, seed,
+                                         max_steps, shared=False)
     return cells, {"steps": len(trace), "trace": trace, "final_index": ind,
                    "nonuniform_mass": mass, "cells": len(cells)}
 
 
-def global_decompose(A, delta: float, rho, config: RunConfig, *,
-                     p: int, n: int):
+def global_decompose(A, delta: float, rho, *, p: int, n: int,
+                     seed: int = 0, max_steps: int | None = None):
     """Single-factor energy increment: refine one quadratic factor until the
     atoms where 1_A - alpha has large local norm cover <= delta |G|."""
-    cells, trace, _, mass = _decompose(A, delta, rho, config, p, n,
+    cells, trace, _, mass = _decompose(A, delta, rho, p, n, seed, max_steps,
                                        shared=True)
-    B = cells[0].factor
-    return B, {"steps": len(trace), "trace": trace,
-               "complexity": B.complexity(), "rank": B.rank(),
-               "nonuniform_mass": mass}
+    return cells[0].factor, {"steps": len(trace), "trace": trace,
+                             "nonuniform_mass": mass}
 
 
 # -- assembly ----------------------------------------------------------------
 
-def assemble_main(A, delta: float, rho, config: RunConfig, *, p: int, n: int):
+def assemble_main(A, delta: float, rho, *, p: int, n: int, seed: int = 0,
+                  max_steps: int | None = None):
     """End-to-end pipeline: cylinder decomposition at delta, the union of the
     uniform cells' factors, rank refinement, and the approximating set
     Y = union of the atoms with density > 1/2.
@@ -377,7 +366,8 @@ def assemble_main(A, delta: float, rho, config: RunConfig, *, p: int, n: int):
     The paper runs Step 1 at a parameter mu far below any desk-scale delta;
     here mu = delta."""
     A = np.asarray(A, dtype=bool)
-    cells, rep = cylinder_decompose(A, delta, rho, config, p=p, n=n)
+    cells, rep = cylinder_decompose(A, delta, rho, p=p, n=n, seed=seed,
+                                    max_steps=max_steps)
     keep = [c for c in cells if c.uniform]
     B = _extend(QuadraticFactor(p, n), [v for c in keep for v in c.factor.L],
                 [M for c in keep for M in c.factor.Q])

@@ -122,12 +122,7 @@ def vc_dim(A, grp: Group, kmax: int = KMAX_HARD) -> int:
 
 
 def vc2_search(A, grp: Group, kmax: int = KMAX_HARD):
-    """(value, saturated, witness): vc2_dim plus the witness
-    (a, b, {pattern: c}) of the largest shattered grid, None at value 0."""
+    """(value, saturated, witness): the largest k <= kmax whose grid is
+    shattered; saturated means the cap was reached and larger k remains
+    possible; the witness (a, b, {pattern: c}) of that grid, None at 0."""
     return _search(vc2_dim_at_least, A, grp, kmax)
-
-
-def vc2_dim(A, grp: Group, kmax: int = KMAX_HARD):
-    """Largest k <= kmax that is shattered; (value, saturated) where
-    saturated means the cap was reached and larger k remains possible."""
-    return vc2_search(A, grp, kmax)[:2]

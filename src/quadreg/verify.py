@@ -3,8 +3,9 @@
 An identity takes one instance (a factor, a function, a group, a growth
 function, a partition) and returns None, or a failure detail.  The suite's
 checks run each on seeded instances at level "quick" (tiny instances) or
-"full" (adds the n=3 items), the tests on their own; the suite also emits
-diagnostics CSVs (size-lemma ratios, norm-equivalence diffs).
+"full" (adds the n=3 items), the tests on their own, and a check returns
+what an identity returns: its first failure detail, or None.  The suite
+also emits diagnostics CSVs (size-lemma ratios, norm-equivalence diffs).
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def chain_bounds(rho, C, d: int, length: int):
 
 def vc2_baselines(g):
     """The empty set and the whole group have VC2 dimension 0, unsaturated."""
-    if any(vc2.vc2_dim(np.full(g.size, full), g) != (0, False)
+    if any(vc2.vc2_search(np.full(g.size, full), g)[:2] != (0, False)
            for full in (False, True)):
         return "empty/full baseline broken"
 
@@ -171,7 +172,7 @@ def vc2_baselines(g):
 def vc2_translation(A, g, t: int):
     """A and A + t have the same VC and VC2 dimensions (k <= 2)."""
     shifted = A[g.add[g.neg[t], :]]
-    if (vc2.vc2_dim(A, g, 2) != vc2.vc2_dim(shifted, g, 2)
+    if (vc2.vc2_search(A, g, 2)[:2] != vc2.vc2_search(shifted, g, 2)[:2]
             or vc2.vc_dim(A, g, 2) != vc2.vc_dim(shifted, g, 2)):
         return "translation variance"
 
@@ -208,12 +209,9 @@ def pythagoras(A, parts, refined_parts, N: int):
 
 # -- checks ------------------------------------------------------------------
 
-def _first_failure(details) -> dict:
-    """A check's report on its identity results: the first failure, or ok."""
-    for detail in details:
-        if detail is not None:
-            return {"ok": False, "detail": detail}
-    return {"ok": True}
+def _first_failure(details):
+    """The first failure detail among a check's identity results, or None."""
+    return next((detail for detail in details if detail is not None), None)
 
 
 def _n(level) -> int:
@@ -260,11 +258,11 @@ def check_omega_identity(level):
 
 def check_sigma1(level):
     B = random_factor(3, 2, 1, 1, np.random.default_rng(17))
-    return _first_failure([sigma_label_sum(B)])
+    return sigma_label_sum(B)
 
 
 def check_psi(level):
-    return _first_failure([psi_fibres(group(3, 1))])
+    return psi_fibres(group(3, 1))
 
 
 def check_rewritenorm(level):
@@ -279,13 +277,10 @@ def check_chains(level):
 
 
 def check_vc2_baselines(level):
-    g = group(3, 2)
-    details = [vc2_baselines(g)]
-    rng = np.random.default_rng(23)
-    for _ in range(10):
-        A = rng.random(g.size) < 0.5
-        details.append(vc2_translation(A, g, int(rng.integers(0, g.size))))
-    return _first_failure(details)
+    g, rng = group(3, 2), np.random.default_rng(23)
+    return vc2_baselines(g) or _first_failure(
+        vc2_translation(rng.random(g.size) < 0.5, g, int(rng.integers(0, g.size)))
+        for _ in range(10))
 
 
 def check_badcount1(level):
@@ -382,13 +377,13 @@ CHECKS = [
 
 
 def verify_suite(level: str = "quick", out_dir: str | None = None) -> dict:
+    """{check: its first failure detail, or None}, in CHECKS order."""
     if level not in ("quick", "full"):
         raise ValueError("level must be quick or full")
-    results = {name: fn(level) for name, fn in CHECKS}
+    details = {name: fn(level) for name, fn in CHECKS}
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         write_size_diagnostics(os.path.join(out_dir, "size_diagnostics.csv"), level)
         write_norm_equivalence_diagnostics(
             os.path.join(out_dir, "norm_equivalence.csv"), level)
-    ok = all(res["ok"] for res in results.values())
-    return {"ok": ok, "level": level, "checks": results}
+    return details

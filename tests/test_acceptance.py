@@ -21,8 +21,7 @@ from quadreg.gf import group
 from quadreg.io import save_json, set_to_dict
 from quadreg.localnorms import (k222_sum, norm_P_eighth, norm_TW_eighth,
                                 psi_map, sigma_label, trivial_local_label)
-from quadreg.regularity import (RunConfig, assemble_main, cylinder_decompose,
-                                validate_cells)
+from quadreg.regularity import assemble_main, cylinder_decompose, validate_cells
 from quadreg.verify import CHAIN_RHOS
 from reference import (k222_codes, local_label, preimage_intersection,
                        refines, tau_closed_bound)
@@ -257,8 +256,8 @@ def test_accept_09_rank_refine_contract():
 @pytest.fixture(scope="module")
 def planted_run():
     B, A = planted_n3()
-    cfg = RunConfig(seed=0)
-    cells, report = cylinder_decompose(A, 0.4, GrowthFunction(1), cfg, p=P, n=3)
+    cells, report = cylinder_decompose(A, 0.4, GrowthFunction(1), p=P, n=3,
+                                       seed=0)
     return A, cells, report
 
 
@@ -284,8 +283,8 @@ def test_accept_10_cells_are_pure_and_chains_valid(planted_run):
 
 def test_accept_10_assemble_recovers_exactly():
     B, A = planted_n3()
-    cfg = RunConfig(seed=0)
-    Bout, Y, report = assemble_main(A, 0.4, GrowthFunction(1), cfg, p=P, n=3)
+    Bout, Y, report = assemble_main(A, 0.4, GrowthFunction(1), p=P, n=3,
+                                    seed=0)
     assert report["sym_diff"] == 0
     assert np.array_equal(Y, A)
 
@@ -315,9 +314,8 @@ def test_accept_11_energy_accounting_random_runs():
     for seed in range(10):
         rng = np.random.default_rng(seed)
         A = rng.random(g.size) < 0.5
-        cfg = RunConfig(seed=seed)
-        cells, report = cylinder_decompose(A, 0.3, GrowthFunction(1), cfg,
-                                           p=P, n=3)
+        cells, report = cylinder_decompose(A, 0.3, GrowthFunction(1),
+                                           p=P, n=3, seed=seed)
         trace = report["trace"]
         if trace:
             any_steps += 1
@@ -342,7 +340,7 @@ def test_accept_12_translation_invariance():
 
 # regression fixtures: exhaustive values computed once at p=3, n=3 and frozen
 VC_FIXTURES = [
-    # (L, Q, label, |A|, vc_dim(kmax=3), vc2_dim(kmax=3))
+    # (L, Q, label, |A|, vc_dim(kmax=3), (value, saturated) of vc2_search(kmax=3))
     ([], [np.eye(3, dtype=int).tolist()], ((), (0,)), 9, 3, (1, False)),
     ([], [np.eye(3, dtype=int).tolist()], ((), (2,)), 12, 3, (1, False)),
     ([(1, 0, 0)], [], ((0,), ()), 9, 1, (1, False)),
@@ -359,4 +357,4 @@ def test_accept_12_regression_fixtures(fi):
     A = B.atom_indicator(label)
     assert int(A.sum()) == size
     assert vc2.vc_dim(A, g, 3) == vd
-    assert vc2.vc2_dim(A, g, 3) == v2
+    assert vc2.vc2_search(A, g, 3)[:2] == v2

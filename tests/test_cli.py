@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from quadreg import io, regularity
+from quadreg import io, regularity, verify
 from quadreg.chains import GrowthFunction, f_sigma, tau
 from quadreg.cli import main
 from quadreg.factors import QuadraticFactor
@@ -190,6 +190,16 @@ def test_verify_command(tmp_path, capsys, level):
     assert any(",triple_product_avg," in row for row in size_csv)
 
 
+def test_verify_names_each_failing_check(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "psi_fibres", lambda g: "fibre sizes off")
+    assert main(["verify", "--level", "quick"]) == 1
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert rep.pop("ok") is False and rep.pop("psi_fibres") is False
+    assert len(rep) == 11 and all(rep.values())
+    assert err == "psi_fibres: fibre sizes off\n"
+
+
 def _write(path, obj):
     io.save_json(path, obj)
     return str(path)
@@ -224,7 +234,13 @@ def _write(path, obj):
                                   "decompose-delta-eighth-power-zero",
                                   "decompose-dense-set-not-0-1",
                                   "gen-label-digit-count",
-                                  "norms-function-wrong-length"])
+                                  "norms-function-wrong-length",
+                                  "norms-factor-fractional-entry",
+                                  "norms-factor-string-entry",
+                                  "norms-factor-boolean-entry",
+                                  "gen-coset-fractional-entry",
+                                  "gen-variety-fractional-value",
+                                  "gen-label-fractional-digit"])
 def test_bad_input_exits_4(tmp_path, capsys, case):
     out = str(tmp_path / "out")
     # decompose cases: (p, n, members, delta); 3^30 is past the largest group
@@ -293,6 +309,20 @@ def test_bad_input_exits_4(tmp_path, capsys, case):
         argv = ["gen", "--kind", "atom-union", "--params",
                 '{"L": [[1, 0]], "labels": [{"a": [0, 1], "b": []}]}',
                 "--p", "3", "--n", "2", "--out", out]
+    elif case.startswith("norms-factor-"):  # each was once read as (1, 0)
+        entry = {"fractional": 1.5, "string": "1", "boolean": True}[case[13:-6]]
+        factor = _write(tmp_path / "factor.json",
+                        {"p": 3, "n": 2, "L": [[entry, 0]], "Q": []})
+        fn = _write(tmp_path / "f.json", io.function_to_dict(np.ones(9), 3, 2))
+        argv = ["norms", "--factor", factor, "--function", fn, "--out", out]
+    elif case.startswith("gen-") and "fractional" in case:  # read as 1 once
+        kind, params = {
+            "coset": ("coset", {"L": [[1.7, 0]], "a": [1]}),
+            "variety": ("quadratic-variety", {"M": [[1, 0], [0, 1]], "value": 1.5}),
+            "label": ("atom-union", {"L": [[1, 0]], "labels": [{"a": [1.5], "b": []}]}),
+        }[case.split("-")[1]]
+        argv = ["gen", "--kind", kind, "--params", json.dumps(params), "--p", "3",
+                "--n", "2", "--out", out]
     elif case.startswith("gen-params-"):
         params = {"list": "[1]", "null": "null", "string": '"x"'}[case[11:]]
         argv = ["gen", "--kind", "random", "--params", params, "--p", "3",

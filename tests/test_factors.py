@@ -27,6 +27,15 @@ def test_constructor_validation():
         QuadraticFactor(3, 2, [(1,)], [])  # wrong length
 
 
+@pytest.mark.parametrize("entry", [1.0, 1.5, True, "1"])
+def test_entries_are_integers(entry):
+    # numpy integers are integers; a float, bool or str is not, even if integral
+    B = QuadraticFactor(3, 2, np.array([[4, 0]]), [np.eye(2, dtype=np.int64)])
+    assert (B.L, B.Q) == (((1, 0),), (((1, 0), (0, 1)),))
+    with pytest.raises(TypeError, match="a factor entry must be an integer"):
+        QuadraticFactor(3, 2, [(entry, 0)], [])
+
+
 @given(st.integers(0, 10 ** 9))
 @settings(max_examples=50, deadline=None)
 def test_atoms_partition_group(seed):

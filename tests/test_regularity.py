@@ -10,9 +10,9 @@ from quadreg.factors import QuadraticFactor
 from quadreg.generators import generate_set, random_factor
 from quadreg.gf import group
 from quadreg.localnorms import norm_P_eighth
-from quadreg.regularity import (BudgetExceeded, RunConfig, assemble_main,
+from quadreg.regularity import (BudgetExceeded, assemble_main, budget,
                                 cylinder_decompose, global_decompose, index,
-                                inverse_oracle, validate_cells)
+                                inverse_oracle, threshold, validate_cells)
 from reference import correlation, encode, poly_values
 
 
@@ -61,12 +61,24 @@ def test_pythagoras_exact_random():
 
 
 def test_threshold_and_budget():
-    cfg = RunConfig()
-    assert cfg.threshold(0.5) == 0.5 ** 4 / 4
-    assert cfg.budget(0.5) == int(np.ceil(16 * 0.5 ** -10))
-    assert RunConfig(max_steps=7).budget(0.5) == 7
+    assert threshold(0.5) == 0.5 ** 4 / 4
+    assert budget(0.5) == int(np.ceil(16 * 0.5 ** -10))
     # an exact int past a float's range: 16 * 1e400, to float precision
-    assert abs(cfg.budget(1e-40) - 16 * 10 ** 400) < 10 ** 387
+    assert type(budget(1e-40)) is int
+    assert abs(budget(1e-40) - 16 * 10 ** 400) < 10 ** 387
+
+
+# the seed-1 random set on F_3^3 takes 4 cylinder steps and 2 global steps
+@pytest.mark.parametrize("decompose,steps", [(cylinder_decompose, 4),
+                                             (global_decompose, 2)])
+def test_max_steps_is_the_step_budget(decompose, steps):
+    A = generate_set("random", {}, 1, 3, 3)
+    for k in (0, steps - 1):
+        with pytest.raises(BudgetExceeded) as e:
+            decompose(A, 0.3, GrowthFunction(1), p=3, n=3, max_steps=k)
+        assert len(e.value.state["trace"]) == k
+    _, report = decompose(A, 0.3, GrowthFunction(1), p=3, n=3, max_steps=steps)
+    assert report["steps"] == len(report["trace"]) == steps
 
 
 @pytest.mark.parametrize("decompose", [cylinder_decompose, global_decompose])
@@ -74,7 +86,7 @@ def test_threshold_and_budget():
 def test_decompose_refuses_a_set_of_the_wrong_length(decompose, size):
     with pytest.raises(ValueError, match="dense over 9"):
         decompose(np.zeros(size, dtype=bool), 0.4, GrowthFunction(1),
-                  RunConfig(), p=3, n=2)
+                  p=3, n=2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -91,11 +103,9 @@ def test_inverse_oracle_finds_planted_witness():
     g = group(3, 2)
     A = planted_set().astype(np.float64)
     f = A - A.mean()
-    cfg = RunConfig()
-    wit = inverse_oracle(f, g, np.arange(g.size), 0.4, cfg,
-                         np.random.default_rng(0))
+    wit = inverse_oracle(f, g, np.arange(g.size), 0.4, np.random.default_rng(0))
     assert wit is not None
-    assert wit.correlation >= cfg.threshold(0.4)
+    assert wit.correlation >= threshold(0.4)
 
 
 @pytest.mark.parametrize("search", ["exhaustive", "randomized"])
@@ -119,7 +129,7 @@ def test_witness_achieves_reported_correlation(monkeypatch, n, search):
     for S, members in cells:
         f = np.zeros(g.size)
         f[members] = S[members] - S[members].mean()
-        wit = inverse_oracle(f, g, members, 0.01, RunConfig(), rng)
+        wit = inverse_oracle(f, g, members, 0.01, rng)
         assert wit is not None
         if S is V:
             assert wit.M[0][1] != 0 and any(wit.r)
@@ -162,8 +172,7 @@ def test_oracle_returns_the_documented_witness():
             cells.append((f, members))
     for f, members in cells:
         M, r, corr = _documented_witness(f, g, members)
-        wit = inverse_oracle(f, g, members, 0.01, RunConfig(),
-                             np.random.default_rng(0))
+        wit = inverse_oracle(f, g, members, 0.01, np.random.default_rng(0))
         assert (wit.M, wit.r) == (M, r)
         assert abs(wit.correlation - corr) <= 1e-12
 
@@ -171,8 +180,7 @@ def test_oracle_returns_the_documented_witness():
 def test_cylinder_planted_recovery_small():
     g = group(3, 2)
     A = planted_set()
-    cfg = RunConfig(seed=0)
-    cells, report = cylinder_decompose(A, 0.4, GrowthFunction(1), cfg, p=3, n=2)
+    cells, report = cylinder_decompose(A, 0.4, GrowthFunction(1), p=3, n=2)
     validate_cells(cells, GrowthFunction(1), g.size)
     # planted atom union is recovered: every cell is 0/1 dense
     for c in cells:
@@ -186,16 +194,14 @@ def test_cylinder_planted_recovery_small():
 
 def test_cylinder_budget_exceeded():
     A = planted_set()
-    cfg = RunConfig(seed=0, max_steps=0)
     with pytest.raises(BudgetExceeded):
-        cylinder_decompose(A, 0.4, GrowthFunction(1), cfg, p=3, n=2)
+        cylinder_decompose(A, 0.4, GrowthFunction(1), p=3, n=2, max_steps=0)
 
 
 def test_global_decompose_terminates():
     g = group(3, 2)
     A = planted_set()
-    cfg = RunConfig(seed=0)
-    B, report = global_decompose(A, 0.4, GrowthFunction(1), cfg, p=3, n=2)
+    B, report = global_decompose(A, 0.4, GrowthFunction(1), p=3, n=2)
     assert report["nonuniform_mass"] <= 0.4 * g.size
     assert B.rank() >= 1 or B.q == 0
 
@@ -203,8 +209,7 @@ def test_global_decompose_terminates():
 def test_assemble_main_recovers_planted():
     g = group(3, 2)
     A = planted_set()
-    cfg = RunConfig(seed=0)
-    B, Y, report = assemble_main(A, 0.4, GrowthFunction(1), cfg, p=3, n=2)
+    B, Y, report = assemble_main(A, 0.4, GrowthFunction(1), p=3, n=2)
     assert report["sym_diff"] == 0
     assert np.array_equal(Y, A)
 
@@ -213,8 +218,7 @@ def test_assemble_main_recovers_planted():
 @pytest.mark.parametrize("seed", [2, 4, 5])
 def test_assemble_main_takes_atom_majority(seed):
     A = generate_set("random", {}, seed, 3, 3)
-    B, Y, report = assemble_main(A, 0.3, GrowthFunction(1), RunConfig(seed=0),
-                                 p=3, n=3)
+    B, Y, report = assemble_main(A, 0.3, GrowthFunction(1), p=3, n=3)
     for part in atom_parts(B):
         majority = 2 * np.count_nonzero(A[part]) > len(part)
         assert np.all(Y[part] == majority)
@@ -226,16 +230,15 @@ def test_uniform_set_stops_immediately():
     g = group(3, 2)
     rng = np.random.default_rng(1)
     A = rng.random(g.size) < 0.5
-    cells, report = cylinder_decompose(A, 0.9, GrowthFunction(1),
-                                       RunConfig(seed=1), p=3, n=2)
+    cells, report = cylinder_decompose(A, 0.9, GrowthFunction(1), p=3, n=2,
+                                       seed=1)
     assert len(cells) == 1
     assert report["trace"] == []
 
 
 def _n3_cylinder_run(seed):
     A = generate_set("random", {}, seed, 3, 3)
-    cells, report = cylinder_decompose(A, 0.3, GrowthFunction(1),
-                                       RunConfig(seed=0), p=3, n=3)
+    cells, report = cylinder_decompose(A, 0.3, GrowthFunction(1), p=3, n=3)
     return A, cells, report
 
 
@@ -248,7 +251,7 @@ def test_factor_rank_once_per_factor(monkeypatch):
         return rank(B)
 
     monkeypatch.setattr(factors, "factor_rank", counting)
-    A, cells, report = _n3_cylinder_run(0)  # two steps of each kind
+    A, cells, report = _n3_cylinder_run(0)  # two +1 steps, one -1 step
     validate_cells(cells, GrowthFunction(1), A.size)
     assert {t.kind for t in report["trace"]} == {1, -1}
     assert calls and all(count == 1 for _, count in calls.values())

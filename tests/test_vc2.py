@@ -19,7 +19,7 @@ def test_baselines_empty_and_full():
 @pytest.mark.parametrize("size", [8, 10])
 def test_search_refuses_a_set_of_the_wrong_length(size):
     with pytest.raises(ValueError, match="dense over 9"):
-        vc2.vc2_dim(np.zeros(size, dtype=bool), group(3, 2))
+        vc2.vc2_search(np.zeros(size, dtype=bool), group(3, 2))
 
 
 def test_vc_at_least_monotone():
@@ -39,7 +39,7 @@ def test_vc2_early_false_when_patterns_exceed_group():
     rng = np.random.default_rng(0)
     A = rng.random(g.size) < 0.5
     assert vc2.vc2_dim_at_least(A, g, 2) == (False, None)
-    v, saturated = vc2.vc2_dim(A, g, 2)
+    v, saturated, _ = vc2.vc2_search(A, g, 2)
     assert v <= 1 and saturated is False
 
 
