@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Mutation check: every exact identity, and every search whose order the
-outputs depend on, has a test that fails when its code is broken.
+"""Mutation check: every exact identity, every search whose order the
+outputs depend on and every input schema rule has a test that fails when
+its code is broken.
 
 Each mutation is one source patch (a file under src/quadreg, a text that
 occurs there exactly once, and its replacement) with the test ids that must
@@ -34,6 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 VERIFY_QUICK = "tests/test_cli.py::test_verify_command[quick]"
+BAD_INPUT = "tests/test_cli.py::test_bad_input_exits_4"
 
 # verify checks that no mutation can fail at the sizes they run, and why
 UNFAILABLE = {
@@ -207,10 +209,23 @@ MUTATIONS = [
     Mutation("integer input", "the integer rule accepts floats", "gf.py",
              "isinstance(x, (int, np.integer))",
              "isinstance(x, (int, float, np.integer))",
-             tuple(f"tests/test_cli.py::test_bad_input_exits_4[{case}]" for case in (
+             tuple(f"{BAD_INPUT}[{case}]" for case in (
                  "fractional-member", "norms-factor-fractional-entry",
                  "gen-coset-fractional-entry", "gen-variety-fractional-value",
                  "gen-label-fractional-digit"))),
+    Mutation("input schema", "a real may be a bool", "io.py",
+             "type(value) in (int, float)", "isinstance(value, (int, float))",
+             (f"{BAD_INPUT}[decompose-dense-value-boolean]",
+              f"{BAD_INPUT}[gen-density-boolean]")),
+    Mutation("input schema", "a list rule accepts a non-list", "io.py",
+             "if isinstance(schema, list) and isinstance(value, list):",
+             "if isinstance(schema, list):",
+             (f"{BAD_INPUT}[norms-L-not-a-list]", f"{BAD_INPUT}[gen-labels-not-a-list]")),
+    Mutation("input schema", "an object may miss a required key", "io.py",
+             "elif name == key:", "elif False:",
+             (f"{BAD_INPUT}[vc2-set-without-elements]",
+              f"{BAD_INPUT}[atom-union-without-labels]",
+              f"{BAD_INPUT}[gen-label-without-b]")),
 ]
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -36,7 +35,7 @@ def cmd_decompose(args) -> int:
         raise io.InputError("--delta must lie in (0, 1] and exceed about 3.5e-41")
     if args.max_steps is not None and args.max_steps < 0:
         raise io.InputError("--max-steps must be at least 0")
-    A, p, n = io.set_from_dict(io.load_json(args.set))
+    A, p, n = io.set_from_dict(io.load_json(args.set), args.set)
     with io.input_errors("--rho"):
         rho = GrowthFunction.parse(args.rho)
     run = dict(p=p, n=n, seed=args.seed, max_steps=args.max_steps)
@@ -71,7 +70,7 @@ def cmd_verify(args) -> int:
 def cmd_vc2(args) -> int:
     if args.kmax < 1:
         raise io.InputError("--kmax must be at least 1")
-    A, p, n = io.set_from_dict(io.load_json(args.set))
+    A, p, n = io.set_from_dict(io.load_json(args.set), args.set)
     g = group(p, n)
     kmax = min(args.kmax, vc2mod.KMAX_HARD)
     vd = vc2mod.vc_dim(A, g, kmax)
@@ -116,7 +115,7 @@ def cmd_norms(args) -> int:
     with io.input_errors(args.factor):
         B = io.factor_from_dict(io.load_json(args.factor))
         B.rank()  # the report needs it; past MAX_Q_FOR_RANK this refuses
-    f, p, n = io.function_from_dict(io.load_json(args.function))
+    f, p, n = io.function_from_dict(io.load_json(args.function), args.function)
     if (p, n) != (B.p, B.n):
         raise io.InputError("function and factor live on different groups")
     rows = []
@@ -133,9 +132,8 @@ def cmd_norms(args) -> int:
 
 def cmd_gen(args) -> int:
     with io.input_errors(f"gen --kind {args.kind}"):
-        params = json.loads(args.params) if args.params else {}
-        if not isinstance(params, dict):
-            raise io.InputError("gen --params must be a JSON object")
+        params = io.check(io.parse_json(args.params or "{}", "gen --params"),
+                          io.GEN_PARAMS[args.kind])
         A = generate_set(args.kind, params, args.seed, args.p, args.n)
     io.save_json(args.out, io.set_to_dict(A, args.p, args.n))
     return 0
@@ -203,6 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if getattr(args, "seed", 0) < 0:  # numpy's generators take no negative seed
+            raise io.InputError("--seed must be at least 0")
         return args.fn(args)
     except (io.InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .factors import QuadraticFactor
-from .gf import as_int, group, is_independent
+from .gf import group, is_independent
 
 
 def random_factor(p, n, lmax, qmax, rng) -> QuadraticFactor:
@@ -38,7 +38,7 @@ def generate_set(kind: str, params: dict, seed: int, p: int, n: int) -> np.ndarr
     g = group(p, n)
     rng = np.random.default_rng(seed)
     if kind == "random":
-        density = float(params.get("density", 0.5))
+        density = params.get("density", 0.5)
         if not 0 <= density <= 1:  # NaN too
             raise ValueError(f"density must lie in [0, 1], not {density}")
         return rng.random(g.size) < density
@@ -53,8 +53,7 @@ def generate_set(kind: str, params: dict, seed: int, p: int, n: int) -> np.ndarr
     B = QuadraticFactor(p, n, params.get("L", []), params.get("Q", []))
     mask = np.zeros(g.size, dtype=bool)
     for lab in params["labels"]:
-        a, b = ([as_int(d, "a label digit") for d in lab[k]] for k in "ab")
-        if (len(a), len(b)) != (B.l, B.q):
+        if (len(lab["a"]), len(lab["b"])) != (B.l, B.q):
             raise ValueError(f"label {lab} needs {B.l} a and {B.q} b digits")
-        mask |= B.atom_indicator((a, b))
+        mask |= B.atom_indicator((lab["a"], lab["b"]))
     return mask

@@ -8,6 +8,7 @@ That makes dense length-p^n arrays usable as functions on the group.
 
 from __future__ import annotations
 
+import reprlib
 from functools import lru_cache
 
 import numpy as np
@@ -21,7 +22,7 @@ MAX_GROUP_SIZE = 3 ** 7
 def as_int(x, what: str) -> int:
     """x as an int if it is a JSON or numpy integer, not a float, bool or str."""
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-        raise TypeError(f"{what} must be an integer, not {x!r}")
+        raise TypeError(f"{what} must be an integer, not {reprlib.repr(x)}")
     return int(x)
 
 

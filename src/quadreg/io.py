@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import csv
 import json
+import reprlib
+import sys
 from contextlib import contextmanager, nullcontext
 
 import numpy as np
@@ -22,15 +24,12 @@ class InputError(ValueError):
 @contextmanager
 def input_errors(source: str):
     """Turn the errors that malformed input raises inside the block into
-    InputErrors naming `source`."""
+    InputErrors naming `source` (an InputError passes unchanged); json.loads
+    raises RecursionError on a deep nesting."""
     try:
         yield
-    except InputError:
-        raise
-    except KeyError as e:
-        raise InputError(f"{source}: missing {e}") from None
-    except (TypeError, ValueError) as e:
-        raise InputError(f"{source}: {e}") from None
+    except (TypeError, ValueError, RecursionError) as e:
+        raise (e if isinstance(e, InputError) else InputError(f"{source}: {e}")) from None
 
 
 def dumps_canonical(obj) -> str:
@@ -43,8 +42,48 @@ def save_json(path, obj) -> None:
 
 
 def load_json(path):
-    with open(path) as fh, input_errors(str(path)):
-        return json.load(fh)
+    with open(path) as fh, input_errors(str(path)):  # a file not in UTF-8 too
+        return parse_json(fh.read(), str(path))
+
+
+def parse_json(text: str, source: str):
+    with input_errors(source):
+        return json.loads(text)
+
+
+FUNCTION_FILES = {"indicator": {"p": int, "n": int, "elements": [int]},
+                  "dense": {"p": int, "n": int, "values": [float]}}
+FACTOR_FILE = {"p": int, "n": int, "L?": [[int]], "Q?": [[[int]]]}
+GEN_PARAMS = {"random": {"density?": float}, "coset": {"L": [[int]], "a": [int]},
+              "quadratic-variety": {"M": [[int]], "value?": int},
+              "atom-union": {"L?": [[int]], "Q?": [[[int]]],
+                             "labels": [{"a": [int], "b": [int]}]}}
+
+
+def check(value, schema, path: str = ""):
+    """`value` as `schema` describes it, else a TypeError naming the JSON path of
+    the mismatch (`L[0][1]`): int is gf.as_int, float a finite number (no bool or
+    int past the float range), [s] a list of s, {key: s} an object cut to these
+    keys ("key?" may be missing), a tuple one of its strings."""
+    if isinstance(schema, list) and isinstance(value, list):
+        return [check(v, schema[0], f"{path}[{i}]") for i, v in enumerate(value)]
+    if isinstance(schema, dict) and isinstance(value, dict):
+        out = {}
+        for key, sub in schema.items():
+            name = key.rstrip("?")
+            if name in value:
+                out[name] = check(value[name], sub, f"{path}.{name}".lstrip("."))
+            elif name == key:
+                raise TypeError(f"{path}.{name}".lstrip(".") + " is missing")
+        return out
+    if schema is int:
+        return as_int(value, path)
+    if (schema is float and type(value) in (int, float) and abs(value) <= sys.float_info.max
+            or isinstance(schema, tuple) and value in schema):
+        return value
+    expected = {list: "a list", dict: "an object", tuple: f"one of {schema}"}.get(
+        type(schema), "a finite number")
+    raise TypeError(f"{path or 'the value'} must be {expected}, not {reprlib.repr(value)}")
 
 
 # -- sets / functions --------------------------------------------------------
@@ -59,29 +98,25 @@ def function_to_dict(values, p: int, n: int) -> dict:
             "values": [float(v) for v in values]}
 
 
-def function_from_dict(d: dict):
-    with input_errors("set/function file"):
+def function_from_dict(d, source: str):
+    with input_errors(source):
+        kind = check(d, {"kind": tuple(FUNCTION_FILES)})["kind"]
+        d = check(d, FUNCTION_FILES[kind])
         g = group(d["p"], d["n"])
-        if d["kind"] == "indicator":
-            members = np.array([as_int(m, "a set member") for m in d["elements"]],
-                               dtype=np.int64)
-            if members.size and not 0 <= members.min() <= members.max() < g.size:
-                raise InputError(f"set members must lie in [0, {g.size})")
+        if kind == "indicator":
+            if not all(0 <= m < g.size for m in d["elements"]):
+                raise ValueError(f"set members must lie in [0, {g.size})")
             v = np.zeros(g.size, dtype=np.float64)
-            v[members] = 1.0
-            return v, d["p"], d["n"]
-        if d["kind"] == "dense":
+            v[d["elements"]] = 1.0
+        else:
             v = as_values(np.asarray(d["values"], dtype=np.float64), g)
-            if not np.isfinite(v).all():
-                raise InputError("dense values must be finite")
-            return v, d["p"], d["n"]
-        raise InputError(f"unknown function kind {d['kind']!r}")
+        return v, d["p"], d["n"]
 
 
-def set_from_dict(d: dict):
-    v, p, n = function_from_dict(d)
+def set_from_dict(d, source: str):
+    v, p, n = function_from_dict(d, source)
     if not np.isin(v, (0, 1)).all():
-        raise InputError("dense set values must be 0 or 1")
+        raise InputError(f"{source}: dense set values must be 0 or 1")
     return v.astype(bool), p, n
 
 
@@ -92,8 +127,8 @@ def factor_to_dict(B: QuadraticFactor) -> dict:
             "Q": [[list(row) for row in M] for M in B.Q]}
 
 
-def factor_from_dict(d: dict) -> QuadraticFactor:
-    return QuadraticFactor(d["p"], d["n"], d.get("L", []), d.get("Q", []))
+def factor_from_dict(d) -> QuadraticFactor:
+    return QuadraticFactor(**check(d, FACTOR_FILE))
 
 
 # -- partitions and traces ---------------------------------------------------

@@ -38,7 +38,7 @@ def test_gen_deterministic(tmp_path):
 def test_gen_variety_roundtrip(tmp_path):
     path = gen_set(tmp_path, kind="quadratic-variety",
                    params={"M": [[1, 0], [0, 1]], "value": 2}, p=3, n=2)
-    A, p, n = io.set_from_dict(io.load_json(path))
+    A, p, n = io.set_from_dict(io.load_json(path), str(path))
     B = QuadraticFactor(3, 2, [], [[[1, 0], [0, 1]]])
     assert np.array_equal(A, B.atom_indicator(((), (2,))))
 
@@ -205,6 +205,68 @@ def _write(path, obj):
     return str(path)
 
 
+SET = {"p": 3, "n": 2, "kind": "indicator", "elements": [0, 4]}
+DENSE = {"p": 3, "n": 2, "kind": "dense", "values": [0.5] * 9}
+# file cases whose error line names the bad value: (the command that reads
+# the file, its contents as JSON or raw bytes, a part of that line); "norms"
+# reads it as --function and "norms-factor" as --factor, next to a valid file
+NAMED_FILE_CASES = {
+    "vc2-member-past-int64": ("vc2", SET | {"elements": [0, 10 ** 30]},
+                              "set members must lie in [0, 9)"),
+    "decompose-member-past-int64-negative": (
+        "decompose", SET | {"elements": [-10 ** 30]}, "set members must lie in"),
+    "decompose-dense-value-past-float": (
+        "decompose", DENSE | {"values": [10 ** 400] + [0] * 8},
+        "values[0] must be a finite number, not 1000"),
+    "decompose-dense-value-boolean": (
+        "decompose", DENSE | {"values": [True] + [0] * 8},
+        "values[0] must be a finite number, not True"),
+    "norms-dense-value-string": ("norms", DENSE | {"values": ["1"] + [0] * 8},
+                                 "values[0] must be a finite number, not '1'"),
+    "vc2-set-file-a-list": ("vc2", [1, 2], "the value must be an object"),
+    "vc2-set-n-a-string": ("vc2", SET | {"n": "2"}, "n must be an integer, not '2'"),
+    "vc2-set-without-elements": ("vc2", {"p": 3, "n": 2, "kind": "indicator"},
+                                 "elements is missing"),
+    "norms-L-not-a-list": ("norms-factor", {"p": 3, "n": 2, "L": 5},
+                           "L must be a list, not 5"),
+    "norms-matrix-row-not-a-list": (
+        "norms-factor", {"p": 3, "n": 2, "Q": [[[1, 0], 1]]}, "Q[0][1] must be a list"),
+    "vc2-deep-nesting": ("vc2", b"[" * 100000, "maximum recursion depth"),
+    "norms-deep-nesting-factor": ("norms-factor", b"[" * 100000,
+                                  "maximum recursion depth"),
+    "vc2-file-not-utf8": ("vc2", b"\xff", "input.json: "),
+}
+# earlier cases whose error line names the bad value
+NAMED = {"fractional-member": "elements[0] must be an integer, not 1.5",
+         "boolean-member": "elements[0] must be an integer, not True",
+         "norms-factor-fractional-entry": "L[0][0] must be an integer, not 1.5",
+         "norms-factor-string-entry": "L[0][0] must be an integer, not '1'",
+         "norms-factor-boolean-entry": "L[0][0] must be an integer, not True",
+         "gen-coset-fractional-entry": "L[0][0] must be an integer, not 1.7",
+         "gen-variety-fractional-value": "value must be an integer, not 1.5",
+         "gen-label-fractional-digit": "labels[0].a[0] must be an integer",
+         "atom-union-without-labels": "labels is missing",
+         "gen-params-list": "the value must be an object, not [1]",
+         "gen-params-null": "the value must be an object, not None",
+         "gen-params-string": "the value must be an object, not 'x'",
+         "norms-nan-value": "values[8] must be a finite number, not nan",
+         "norms-infinite-value": "values[8] must be a finite number, not inf",
+         "decompose-nan-value": "values[8] must be a finite number, not nan"}
+# gen cases whose error line names the bad value: (--kind, --params, a part
+# of that line)
+NAMED_GEN_CASES = {
+    "gen-density-boolean": ("random", '{"density": true}',
+                            "density must be a finite number, not True"),
+    "gen-density-string": ("random", '{"density": "0.5"}',
+                           "density must be a finite number, not '0.5'"),
+    "gen-label-without-b": ("atom-union", '{"L": [[1, 0]], "labels": [{"a": [1]}]}',
+                            "labels[0].b is missing"),
+    "gen-labels-not-a-list": ("atom-union", '{"L": [[1, 0]], "labels": {"a": [1]}}',
+                              "labels must be a list"),
+    "gen-deep-nesting-params": ("random", "[" * 100000, "maximum recursion depth"),
+}
+
+
 @pytest.mark.parametrize("case", ["negative-member", "member-too-large",
                                   "fractional-member", "boolean-member",
                                   "unsupported-p", "delta-zero",
@@ -240,9 +302,12 @@ def _write(path, obj):
                                   "norms-factor-boolean-entry",
                                   "gen-coset-fractional-entry",
                                   "gen-variety-fractional-value",
-                                  "gen-label-fractional-digit"])
+                                  "gen-label-fractional-digit",
+                                  *NAMED_FILE_CASES, *NAMED_GEN_CASES,
+                                  "decompose-negative-seed", "gen-negative-seed"])
 def test_bad_input_exits_4(tmp_path, capsys, case):
     out = str(tmp_path / "out")
+    expected = NAMED.get(case, "")
     # decompose cases: (p, n, members, delta); 3^30 is past the largest group
     decompose = {"negative-member": (3, 2, [0, -1], "0.4"),
                  "member-too-large": (3, 2, [0, 9], "0.4"),
@@ -252,7 +317,32 @@ def test_bad_input_exits_4(tmp_path, capsys, case):
                  "delta-zero": (3, 2, [0], "0"),
                  "decompose-delta-eighth-power-zero": (3, 2, [0], "3.5e-41"),
                  "set-group-too-large": (3, 30, [0], "0.4")}
-    if case in decompose:
+    if case in NAMED_FILE_CASES:
+        command, contents, expected = NAMED_FILE_CASES[case]
+        path = tmp_path / "input.json"
+        path.write_bytes(contents if isinstance(contents, bytes)
+                         else json.dumps(contents).encode())
+        factor = _write(tmp_path / "factor.json",
+                        factor_to_dict(QuadraticFactor(3, 2, [(1, 0)], [])))
+        fn = _write(tmp_path / "f.json", DENSE)
+        argv = {"vc2": ["vc2", "--set", str(path)],
+                "decompose": ["decompose", "--set", str(path), "--delta", "0.4",
+                              "--out", out],
+                "norms": ["norms", "--factor", factor, "--function", str(path),
+                          "--out", out],
+                "norms-factor": ["norms", "--factor", str(path), "--function", fn,
+                                 "--out", out]}[command]
+    elif case in NAMED_GEN_CASES:
+        kind, params, expected = NAMED_GEN_CASES[case]
+        argv = ["gen", "--kind", kind, "--params", params, "--p", "3", "--n", "2",
+                "--out", out]
+    elif case.endswith("-negative-seed"):  # numpy's generators refuse it
+        argv = (["gen", "--kind", "random", "--p", "3", "--n", "2"]
+                if case.startswith("gen") else
+                ["decompose", "--set", _write(tmp_path / "s.json", SET), "--delta",
+                 "0.4"]) + ["--seed", "-1", "--out", out]
+        expected = "error: --seed must be at least 0\n"
+    elif case in decompose:
         p, n, members, delta = decompose[case]
         s = _write(tmp_path / "set.json", {"p": p, "n": n, "kind": "indicator",
                                            "elements": members})
@@ -360,6 +450,7 @@ def test_bad_input_exits_4(tmp_path, capsys, case):
     out_text, err = capsys.readouterr()
     assert out_text == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert expected in err, err
     assert not os.path.exists(out)
 
 
