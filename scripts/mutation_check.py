@@ -36,6 +36,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 VERIFY_QUICK = "tests/test_cli.py::test_verify_command[quick]"
 BAD_INPUT = "tests/test_cli.py::test_bad_input_exits_4"
+BAD_X = "tests/test_verify.py::test_count_bad_x_matches_rank_per_x"
 
 # verify checks that no mutation can fail at the sizes they run, and why
 UNFAILABLE = {
@@ -123,8 +124,16 @@ MUTATIONS = [
              ("tests/test_acceptance.py::test_accept_12_translation_invariance",
               "tests/test_vc2.py::test_translation_invariance_small",
               VERIFY_QUICK)),
-    Mutation("badcount1_bound", "every x counts as bad", "verify.py",
-             "< rank + B.q for rows", "<= rank + B.q for rows", (VERIFY_QUICK,)),
+    Mutation("badcount1_bound", "the zero combination counts, so every x is "
+             "bad", "verify.py", "_vectors(p, B.q)[1:]", "_vectors(p, B.q)",
+             (BAD_X, VERIFY_QUICK)),
+    Mutation("badcount1_bound", "the span mask marks only the zero vector",
+             "verify.py", "in_span[_vectors(p, rank) @ ech % p @ weights] = True",
+             "in_span[0] = True", (BAD_X,)),
+    Mutation("count_bad_w_tuples", "the DFS prunes n independent rows too",
+             "verify.py", "if len(ech) + depth * B.q > B.n:",
+             "if len(ech) + depth * B.q >= B.n:",
+             ("tests/test_verify.py::test_count_bad_w_tuples_invertible_matrix_n4",)),
     Mutation("pythagoras", "refinement_sum drops a part", "regularity.py",
              "return sum(((a - b) ** 2 * size for a, b, size\n"
              "                in _with_parents(A, parts, refined_parts, N))",
@@ -217,6 +226,9 @@ MUTATIONS = [
              "type(value) in (int, float)", "isinstance(value, (int, float))",
              (f"{BAD_INPUT}[decompose-dense-value-boolean]",
               f"{BAD_INPUT}[gen-density-boolean]")),
+    Mutation("input domain", "a dense value may lie outside [-1, 1]", "io.py",
+             "np.flatnonzero(abs(v) > 1)", "np.flatnonzero(abs(v) > np.inf)",
+             (f"{BAD_INPUT}[norms-dense-value-past-one]",)),
     Mutation("input schema", "a list rule accepts a non-list", "io.py",
              "if isinstance(schema, list) and isinstance(value, list):",
              "if isinstance(schema, list):",

@@ -110,6 +110,11 @@ def function_from_dict(d, source: str):
             v[d["elements"]] = 1.0
         else:
             v = as_values(np.asarray(d["values"], dtype=np.float64), g)
+            # f is 1-bounded; from about 1e39 on, its eighth powers overflow
+            big = np.flatnonzero(abs(v) > 1)
+            if big.size:
+                raise ValueError(f"values[{big[0]}] must lie in [-1, 1], "
+                                 f"not {reprlib.repr(d['values'][big[0]])}")
         return v, d["p"], d["n"]
 
 

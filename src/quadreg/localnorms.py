@@ -8,7 +8,7 @@ relating them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product, starmap
+from itertools import product, starmap
 
 import numpy as np
 
@@ -68,9 +68,10 @@ def omega_code_definitional_bulk(B, X, H1, H2, H3) -> np.ndarray:
     lc = B.label_codes()
     pts = gowers.cube_points(B.grp, X, H1, H2, H3)
     code = lc[pts[0]]
-    for pt in pts[1:]:
-        code = np.where(lc[pt] == code, code, -1)
-    return code
+    same = lc[pts[-1]] == code  # x+h1+h2+h3 has the full broadcast shape
+    for pt in pts[1:-1]:
+        same &= lc[pt] == code
+    return np.where(same, code, -1)
 
 
 def omega_code_constraints_bulk(B, X, H1, H2, H3) -> np.ndarray:
@@ -81,9 +82,10 @@ def omega_code_constraints_bulk(B, X, H1, H2, H3) -> np.ndarray:
     add, bq = B.grp.add, B.bq_tables()
     lin0 = _linear_zero_mask(B)
     Hs = [np.asarray(H) for H in (H1, H2, H3)]
+    two_x = add[X, X]
     ok = np.ones(np.shape(X), dtype=bool)
-    for H in Hs:
-        ok &= lin0[H] & _h_constraint(add, bq, X, H)
+    for H in Hs:  # _h_constraint with 2x formed once for the three h's
+        ok &= lin0[H] & (bq[add[two_x, H], H] == 0)
     for a, b in ((0, 1), (0, 2), (1, 2)):
         ok &= bq[Hs[a], Hs[b]] == 0
     return np.where(ok, B.label_codes()[X], -1)
@@ -121,9 +123,10 @@ def omega_predicted(B: QuadraticFactor) -> float:
 
 # -- the two local norms -----------------------------------------------------
 
-def norm_P_eighth(f, B: QuadraticFactor, e) -> float:
+def norm_P_eighth(f, B: QuadraticFactor, e, omega: int | None = None) -> float:
     """u3_eighth_fast(f * 1_{B(e)}) / |Omega_{B(e)}|; 0 when f vanishes on
-    the atom (empty atoms included) or the numerator is below 1e-12."""
+    the atom (empty atoms included) or the numerator is below 1e-12.
+    `omega` is omega_count(B, e) when the caller has it already."""
     v = gowers.as_values(f, B.grp).astype(np.float64)
     restricted = v * B.atom_indicator(e)
     if not restricted.any():
@@ -131,7 +134,7 @@ def norm_P_eighth(f, B: QuadraticFactor, e) -> float:
     num = gowers.u3_eighth_fast(restricted, B.grp)
     if abs(num) < 1e-12:
         return 0.0
-    return num / omega_count(B, e)
+    return num / (omega_count(B, e) if omega is None else omega)
 
 
 def fibre_size(B: QuadraticFactor, d_pair) -> int:
@@ -226,6 +229,31 @@ REPORT_COLUMNS = ["label", "atom_size", "omega_count", "omega_predicted",
                   "normP8", "normTW8", "diff"]
 
 
+def _atom_columns(f, B: QuadraticFactor, e) -> dict:
+    """The report columns that depend on the atom e alone; omega_count runs
+    once, for its column and as normP8's denominator."""
+    omega = omega_count(B, e)
+    return {"label": str(e), "atom_size": int(len(B.enumerate_atom(e))),
+            "omega_count": omega, "omega_predicted": omega_predicted(B),
+            "normP8": norm_P_eighth(f, B, e, omega)}
+
+
+def _tw8(f, B: QuadraticFactor, d: LocalLabelTuple):
+    """norm_TW_eighth(f, B, d), or None when d is degenerate."""
+    try:
+        return norm_TW_eighth(f, B, d)
+    except DegenerateLabelError:
+        return None
+
+
+def _report(B: QuadraticFactor, atom: dict, tw8) -> dict:
+    """The atom columns with normTW8 and diff, both NaN when tw8 is None."""
+    nan = float("nan")
+    return atom | {"normTW8": nan if tw8 is None else tw8,
+                   "diff": nan if tw8 is None else tw8 - atom["normP8"],
+                   "degenerate": tw8 is None, "rank": B.rank()}
+
+
 def norm_equivalence_report(f, B: QuadraticFactor, e, d: LocalLabelTuple) -> dict:
     """Both eighth powers and their difference, keyed by REPORT_COLUMNS
     and more; never asserted for nontrivial factors (the equivalence error
@@ -233,28 +261,21 @@ def norm_equivalence_report(f, B: QuadraticFactor, e, d: LocalLabelTuple) -> dic
     sigma_label(B, d)."""
     if sigma_label(B, d) != e:
         raise ValueError(f"label {e} is not the sum label of {d}")
-    p8 = norm_P_eighth(f, B, e)
-    degenerate = False
-    try:
-        tw8 = norm_TW_eighth(f, B, d)
-    except DegenerateLabelError:
-        tw8, degenerate = float("nan"), True
-    return {
-        "label": str(e),
-        "atom_size": int(len(B.enumerate_atom(e))),
-        "omega_count": omega_count(B, e),
-        "omega_predicted": omega_predicted(B),
-        "normP8": p8,
-        "normTW8": tw8,
-        "diff": tw8 - p8 if not degenerate else float("nan"),
-        "degenerate": degenerate,
-        "rank": B.rank(),
-    }
+    return _report(B, _atom_columns(f, B, e), _tw8(f, B, d))
 
 
 def norm_equivalence_samples(f, B: QuadraticFactor, count: int) -> list:
-    """Reports for the first `count` local labels d, in all_local_labels
-    order, whose weighted norm is defined; each at e = sigma_label(B, d)."""
-    reports = (norm_equivalence_report(f, B, sigma_label(B, d), d)
-               for d in all_local_labels(B))
-    return list(islice((r for r in reports if not r["degenerate"]), count))
+    """The reports norm_equivalence_report gives for the first `count` local
+    labels d, in all_local_labels order, whose weighted norm is defined;
+    each at e = sigma_label(B, d), its atom columns computed once per e."""
+    atoms, reports = {}, []
+    for d in all_local_labels(B):
+        if len(reports) == count:
+            break
+        tw8 = _tw8(f, B, d)
+        if tw8 is not None:
+            e = sigma_label(B, d)
+            if e not in atoms:
+                atoms[e] = _atom_columns(f, B, e)
+            reports.append(_report(B, atoms[e], tw8))
+    return reports

@@ -32,21 +32,22 @@ from .regularity import index, refinement_sum
 
 # -- helpers -----------------------------------------------------------------
 
-def _images(B: QuadraticFactor) -> list:
-    """For every encoded x, [M_j x for every matrix of B] as row tuples."""
+def _images(B: QuadraticFactor) -> np.ndarray:
+    """Shape (N, q, n): M_j x for every encoded x and every matrix of B."""
     Q = np.array(B.Q, dtype=np.int64).reshape(B.q, B.n, B.n)
-    Mx = np.einsum("jab,xb->xja", Q, B.grp.coords) % B.p
-    return [list(map(tuple, rows)) for rows in Mx.tolist()]
+    return np.einsum("jab,xb->xja", Q, B.grp.coords) % B.p
 
 
 def count_bad_w_tuples(B: QuadraticFactor) -> int:
     """Number of (w_1..w_4) in G^4 with L u {M w_i} not independent.
     DFS over w's with the echelon basis of the current span as memo key."""
     p, N = B.p, B.grp.size
-    images = _images(B)
+    images = _images(B).tolist()
 
     @functools.cache
     def good(ech, depth):
+        if len(ech) + depth * B.q > B.n:  # more than n rows are dependent
+            return 0
         if depth == 0:
             return 1
         total = 0
@@ -57,6 +58,31 @@ def count_bad_w_tuples(B: QuadraticFactor) -> int:
         return total
 
     return N ** 4 - good(tuple(gf.row_space_basis(B.L, p)), 4)
+
+
+def count_bad_x(B: QuadraticFactor, S):
+    """Number of x in G with L u {M w : w in S} u {M x} dependent, None when
+    the base L u {M w : w in S} is.  x is bad when some nonzero combination
+    sum_j c_j M_j x lies in the span of the base, marked once as a mask
+    over the encoded vectors."""
+    p, n = B.p, B.n
+    images = _images(B)
+    base = list(B.L) + images[list(S)].reshape(-1, n).tolist()
+    ech, rank = gf.rref(base, p)
+    if rank < len(base):
+        return None
+    weights = p ** np.arange(n)
+    in_span = np.zeros(B.grp.size, dtype=bool)
+    ech = np.array(ech, dtype=np.int64).reshape(rank, n)
+    in_span[_vectors(p, rank) @ ech % p @ weights] = True
+    sums = np.einsum("cj,xja->cxa", _vectors(p, B.q)[1:], images) % p
+    return int(np.count_nonzero(in_span[sums @ weights].any(axis=0)))
+
+
+def _vectors(p: int, k: int) -> np.ndarray:
+    """Shape (p^k, k): every vector of F_p^k, the zero vector first."""
+    vectors = np.array(list(product(range(p), repeat=k)), dtype=np.int64)
+    return vectors.reshape(p ** k, k)  # (1, 0) at k = 0
 
 
 # -- identities --------------------------------------------------------------
@@ -102,10 +128,13 @@ def sigma_label_sum(B: QuadraticFactor):
     x, y, z = np.indices((g.size,) * 3).reshape(3, -1)
     rows = np.stack([lc[x], lc[y], lc[z], bq[x, y], bq[x, z], bq[y, z]], axis=1)
     labels, which = np.unique(rows, axis=0, return_inverse=True)
+    atoms = list(B.all_labels())  # every atom and pair code, decoded once
+    pairs = list(map(B.code_to_pair, range(B.p ** B.q)))
 
     def local_label(row):
-        return LocalLabelTuple(*map(B.code_to_label, row[:3].tolist()),
-                               *map(B.code_to_pair, row[3:].tolist()))
+        a, b, c, ab, ac, bc = row.tolist()
+        return LocalLabelTuple(atoms[a], atoms[b], atoms[c],
+                               pairs[ab], pairs[ac], pairs[bc])
 
     want = np.array([B.label_to_code(sigma_label(B, local_label(row)))
                      for row in labels])
@@ -179,13 +208,10 @@ def vc2_translation(A, g, t: int):
 
 def badcount1_bound(B: QuadraticFactor, S):
     """At most p^(n+l+(|S|+1)q-r) x make L u {Mw : w in S} u {Mx} dependent,
-    by brute force (r the rank of B); vacuous if the base is dependent."""
-    images = _images(B)
-    base = list(B.L) + [v for w in S for v in images[w]]
-    ech, rank = gf.rref(base, B.p)
-    if rank < len(base):
+    counted exactly (r the rank of B); vacuous if the base is dependent."""
+    bad = count_bad_x(B, S)
+    if bad is None:
         return None
-    bad = sum(gf.mat_rank(ech + rows, B.p) < rank + B.q for rows in images)
     bound = B.p ** (B.n + B.l + (len(S) + 1) * B.q - B.rank())
     if bad > bound:
         return f"badcount1 violated: {bad} > {bound}"

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from quadreg import gowers, localnorms
+from quadreg import gf, gowers, localnorms
 from quadreg.localnorms import LocalLabelTuple, sigma_label
 
 
@@ -59,6 +59,18 @@ def refines(B1, B2) -> bool:
     c1, c2 = B1.label_codes(), B2.label_codes()
     pairs = np.unique(np.stack([c1, c2], axis=1), axis=0)
     return len(pairs) == len(np.unique(c1))
+
+
+def bad_x_count(B, S):
+    """The x in G whose rows M_j x make L u {M_j w : w in S} dependent, one
+    rank per x; None when L u {M_j w : w in S} is dependent itself."""
+    images = [[mat_mul_vec(M, decode(B.grp, x), B.p) for M in B.Q]
+              for x in range(B.grp.size)]
+    base = list(B.L) + [v for w in S for v in images[w]]
+    ech, rank = gf.rref(base, B.p)
+    if rank < len(base):
+        return None
+    return sum(gf.mat_rank(ech + rows, B.p) < rank + B.q for rows in images)
 
 
 # -- chains ------------------------------------------------------------------
@@ -189,10 +201,8 @@ def preimage_intersection(B, d: LocalLabelTuple, e, w, ha, hb, hc):
 
     xs = admissible(d.d_a, ha, (hb, hc), d.d_ac)
     ys = admissible(d.d_b, hb, (ha, hc), d.d_bc)
-    out = set()
-    for x in xs:
-        for y in ys[bq[x, ys] == B.pair_code(d.d_ab)]:
-            z = add[add[w, neg[x]], neg[y]]
-            out.add((int(x), int(add[x, ha]), int(y), int(add[y, hb]), int(z),
-                     int(add[z, hc])))
-    return out
+    i, j = np.nonzero(bq[np.ix_(xs, ys)] == B.pair_code(d.d_ab))
+    x, y = xs[i], ys[j]
+    z = add[add[w, neg[x]], neg[y]]
+    return set(zip(*(c.tolist() for c in (x, add[x, ha], y, add[y, hb], z,
+                                           add[z, hc]))))

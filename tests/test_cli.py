@@ -223,6 +223,9 @@ NAMED_FILE_CASES = {
         "values[0] must be a finite number, not True"),
     "norms-dense-value-string": ("norms", DENSE | {"values": ["1"] + [0] * 8},
                                  "values[0] must be a finite number, not '1'"),
+    # once written as inf/nan norms: the eighth powers overflow from 1e39
+    "norms-dense-value-past-one": ("norms", DENSE | {"values": [0] * 8 + [1e39]},
+                                   "values[8] must lie in [-1, 1], not 1e+39"),
     "vc2-set-file-a-list": ("vc2", [1, 2], "the value must be an object"),
     "vc2-set-n-a-string": ("vc2", SET | {"n": "2"}, "n must be an integer, not '2'"),
     "vc2-set-without-elements": ("vc2", {"p": 3, "n": 2, "kind": "indicator"},

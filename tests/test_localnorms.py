@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -207,6 +208,22 @@ def test_norm_report_refuses_a_label_that_is_not_the_sum():
     assert norm_equivalence_report(f, B, sigma_label(B, d), d)["label"]
     with pytest.raises(ValueError, match="not the sum label"):
         norm_equivalence_report(f, B, ((1,), (0,)), d)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_norm_samples_are_the_per_label_reports(n):
+    # the samples compute each atom's columns once; the rows must be those
+    # of one norm_equivalence_report per label, degenerate labels skipped
+    rng = np.random.default_rng(47 + n)
+    B = random_factor(3, n, 1, 1, rng)
+    while B.complexity() != (1, 1):
+        B = random_factor(3, n, 1, 1, rng)
+    f = rng.uniform(-1, 1, B.grp.size)
+    reports = (norm_equivalence_report(f, B, sigma_label(B, d), d)
+               for d in all_local_labels(B))
+    want = list(islice((r for r in reports if not r["degenerate"]), 6))
+    assert len(want) == 6
+    assert localnorms.norm_equivalence_samples(f, B, 6) == want
 
 
 def test_degenerate_label_raises():
