@@ -70,6 +70,13 @@ MUTATIONS = [
              ("tests/test_acceptance.py::"
               "test_accept_03_constraints_equivalence_exhaustive_n2",
               VERIFY_QUICK)),
+    # add and bq are symmetric, so a transposed flat index is no mutation
+    Mutation("constraints_equivalence", "the constraint test's pairwise flat "
+             "bq index takes h_a twice", "localnorms.py",
+             "ok &= bq[Hs[a] * N + Hs[b]] == 0", "ok &= bq[Hs[a] * N + Hs[a]] == 0",
+             ("tests/test_acceptance.py::"
+              "test_accept_03_constraints_equivalence_exhaustive_n2",
+              VERIFY_QUICK)),
     Mutation("constraints_equivalence", "the constraint test labels a tuple "
              "by h1's atom, not x's", "localnorms.py",
              "np.where(ok, B.label_codes()[X], -1)",
@@ -86,9 +93,23 @@ MUTATIONS = [
              ("tests/test_acceptance.py::test_accept_02_omega_identity",
               "tests/test_localnorms.py::test_omega_count_equals_cube_sum",
               VERIFY_QUICK)),
+    Mutation("omega_identity", "common_code drops x+h1 from its same-code "
+             "mask", "gowers.py",
+             "for pt in pts[1:-1]:\n        same &= codes[pt] == code",
+             "for pt in pts[2:-1]:\n        same &= codes[pt] == code",
+             ("tests/test_gowers.py::"
+              "test_level_set_cube_sums_match_naive_per_level_set[3-2]",
+              "tests/test_acceptance.py::test_accept_02_omega_identity",
+              VERIFY_QUICK)),
     Mutation("sigma_label_sum", "sigma_label adds the pair values once, not "
              "twice", "localnorms.py", "quad = tuple((a + b + c + 2 * (u + v + w))",
              "quad = tuple((a + b + c + (u + v + w))",
+             ("tests/test_localnorms.py::test_sigma_label_is_sum_label",
+              VERIFY_QUICK)),
+    Mutation("sigma_label_sum", "the label key takes radix p^q for the "
+             "third atom code", "verify.py",
+             "radices = (B.p ** (B.l + B.q),) * 3 + (B.p ** B.q,) * 3",
+             "radices = (B.p ** (B.l + B.q),) * 2 + (B.p ** B.q,) * 4",
              ("tests/test_localnorms.py::test_sigma_label_is_sum_label",
               VERIFY_QUICK)),
     Mutation("psi_fibres", "psi_map sends every x2 - x1 to 0", "localnorms.py",
@@ -101,14 +122,20 @@ MUTATIONS = [
              ("tests/test_acceptance.py::test_accept_04_rewrite_identity[1]",
               "tests/test_gowers.py::test_rewrite_sum_identity", VERIFY_QUICK)),
     Mutation("chain_bounds", "f_table extends -1 steps with the wrong sign",
-             "chains.py", "table[s + (-1,)] = (a + rho(a + b), b - 1)",
-             "table[s + (-1,)] = (a - rho(a + b), b - 1)",
+             "chains.py", "((a + rho(a + b), b - 1), (a + 1, b + 1))",
+             "((a - rho(a + b), b - 1), (a + 1, b + 1))",
              ("tests/test_acceptance.py::test_accept_07_seq4_closed_form_bounds[0]",
+              VERIFY_QUICK)),
+    Mutation("chain_bounds", "chain_bounds takes entry i's parent as i // 2",
+             "verify.py", "parent = (i - 1) // 2", "parent = i // 2",
+             ("tests/test_acceptance.py::test_accept_07_seq4_closed_form_bounds[0]",
+              "tests/test_verify.py::"
+              "test_chain_bounds_matches_the_walk_on_corrupted_tables[0]",
               VERIFY_QUICK)),
     Mutation("chain recursions", "GrowthFunction drops the fraction of a "
              "non-integral C", "chains.py",
-             "c = self.C.numerator if self.C.denominator == 1 else self.C",
-             "c = self.C.numerator",
+             '"_c", C.numerator if C.denominator == 1 else C)',
+             '"_c", C.numerator)',
              ("tests/test_chains.py::test_non_integral_growth_stays_fractional",
               "tests/test_chains.py::test_recursions_match_fraction_reference")),
     Mutation("vc2_baselines", "the VC/VC2 search starts its count at 1", "vc2.py",

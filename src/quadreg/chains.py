@@ -10,8 +10,9 @@ and so does every value it touches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from . import gf
 from .factors import QuadraticFactor, nontrivial_combinations
@@ -22,14 +23,16 @@ class GrowthFunction:
     """rho(x) = C*x^d, C stored as a Fraction, d as an int; `linear:K` is C = K."""
     C: Fraction
     d: int = 1
+    _c: int | Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "C", Fraction(self.C))
+        C = Fraction(self.C)
+        object.__setattr__(self, "C", C)
         object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "_c", C.numerator if C.denominator == 1 else C)
 
     def __call__(self, x):
-        c = self.C.numerator if self.C.denominator == 1 else self.C
-        return c * x ** self.d
+        return self._c * x ** self.d
 
     @staticmethod
     def parse(text: str) -> "GrowthFunction":
@@ -84,17 +87,14 @@ def f_sigma(rho, s):
 def f_table(rho, length: int) -> dict:
     """f_sigma for every string of length <= length, shorter strings first,
     each length in product((-1, 1), repeat=m) order; each entry extends its
-    parent prefix by one step of the recursion."""
+    parent prefix by one step of the recursion.  So entry i > 0 extends
+    entry (i-1)//2, by -1 when i is odd and by +1 when it is even."""
     table = {(): (0, 0)}
-    level = [()]
-    for _ in range(length):
-        nxt = []
-        for s in level:
-            a, b = table[s]
-            table[s + (-1,)] = (a + rho(a + b), b - 1)
-            table[s + (1,)] = (a + 1, b + 1)
-            nxt += [s + (-1,), s + (1,)]
-        level = nxt
+    values = [(0, 0)]  # f_sigma of the strings of length m - 1, in order
+    for m in range(1, length + 1):
+        values = [child for a, b in values
+                  for child in ((a + rho(a + b), b - 1), (a + 1, b + 1))]
+        table.update(zip(product((-1, 1), repeat=m), values))
     return table if length >= 0 else {}
 
 

@@ -37,11 +37,24 @@ def _exact(v: np.ndarray):
 
 def cube_points(grp: Group, x, *hs):
     """The 2^d vertices x + sum_{i in S} h_i of the cube on x and h_1..h_d,
-    vertex S at index sum_{i in S} 2^i; arrays of indices broadcast."""
+    vertex S at index sum_{i in S} 2^i; arrays of indices broadcast.  Each
+    sum is one flat gather add.ravel()[a * N + b], which numpy runs faster
+    than the 2-D gather add[a, b]."""
+    add, N = grp.add.ravel(), grp.size
     pts = [np.asarray(x)]
     for h in hs:
-        pts += [grp.add[pt, h] for pt in pts]
+        pts += [add[pt * N + h] for pt in pts]
     return pts
+
+
+def common_code(codes: np.ndarray, pts) -> np.ndarray:
+    """For each cube of cube_points: the code that all its vertices share,
+    or -1 when two vertices have different codes."""
+    code = codes[pts[0]]
+    same = codes[pts[-1]] == code  # the last vertex has the full broadcast shape
+    for pt in pts[1:-1]:
+        same &= codes[pt] == code
+    return np.where(same, code, -1)
 
 
 def _cube_sum_naive(f, grp: Group, d: int, name: str):
@@ -64,6 +77,24 @@ def u3_eighth_naive(f, grp: Group):
     """Sum over G^4, with the last direction h3 in closed form:
     sum_{h1,h2} (sum_x f(x) f(x+h1) f(x+h2) f(x+h1+h2))^2."""
     return _cube_sum_naive(f, grp, 3, "u3_eighth_naive")
+
+
+def level_set_cube_sums(codes, grp: Group, count: int) -> list:
+    """[u3_eighth_naive(codes == k, grp) for k in range(count)], exact ints,
+    for codes in range(count), in one pass: a face (x, h1, h2) counts for
+    level set k exactly when its four cube points share x's code k, so one
+    bincount keyed by (code of x, h1, h2) gives every level set's sums over x,
+    which are squared and summed over (h1, h2)."""
+    codes = as_values(codes, grp)
+    N = grp.size
+    if N ** 4 > NAIVE_CAP:
+        raise ValueError("level_set_cube_sums: enumeration too large")
+    x, h1, h2 = np.ix_(*[np.arange(N)] * 3)
+    face = common_code(codes, cube_points(grp, x, h1, h2))
+    keys = (face * N + h1) * N + h2
+    sums = np.bincount(keys[face >= 0], minlength=count * N * N)
+    sums = sums.reshape(count, N * N)
+    return [int(s) for s in (sums ** 2).sum(axis=1)]
 
 
 @lru_cache(maxsize=32)

@@ -65,29 +65,26 @@ def omega_code_definitional_bulk(B, X, H1, H2, H3) -> np.ndarray:
     """For each tuple: the label code of the atom holding all 8 cube points,
     or -1 when no atom holds them all; (x,h1,h2,h3) is in Omega_{B(e)}
     exactly when its code is B.label_to_code(e)."""
-    lc = B.label_codes()
-    pts = gowers.cube_points(B.grp, X, H1, H2, H3)
-    code = lc[pts[0]]
-    same = lc[pts[-1]] == code  # x+h1+h2+h3 has the full broadcast shape
-    for pt in pts[1:-1]:
-        same &= lc[pt] == code
-    return np.where(same, code, -1)
+    return gowers.common_code(B.label_codes(),
+                              gowers.cube_points(B.grp, X, H1, H2, H3))
 
 
 def omega_code_constraints_bulk(B, X, H1, H2, H3) -> np.ndarray:
     """For each tuple: the label code of x when each h is in L(0) with
     2 beta_Q(x,h) + beta_Q(h,h) = 0, which is beta_Q(2x+h, h) = 0 by
-    bilinearity, and beta_Q(h_a, h_b) = 0 pairwise; -1 otherwise."""
+    bilinearity, and beta_Q(h_a, h_b) = 0 pairwise; -1 otherwise.  Each
+    lookup is a flat gather table.ravel()[a * N + b], as in cube_points."""
     X = np.asarray(X)
-    add, bq = B.grp.add, B.bq_tables()
+    N = B.grp.size
+    add, bq = B.grp.add.ravel(), B.bq_tables().ravel()
     lin0 = _linear_zero_mask(B)
     Hs = [np.asarray(H) for H in (H1, H2, H3)]
-    two_x = add[X, X]
+    two_x = add[X * N + X]
     ok = np.ones(np.shape(X), dtype=bool)
     for H in Hs:  # _h_constraint with 2x formed once for the three h's
-        ok &= lin0[H] & (bq[add[two_x, H], H] == 0)
+        ok &= lin0[H] & (bq[add[two_x * N + H] * N + H] == 0)
     for a, b in ((0, 1), (0, 2), (1, 2)):
-        ok &= bq[Hs[a], Hs[b]] == 0
+        ok &= bq[Hs[a] * N + Hs[b]] == 0
     return np.where(ok, B.label_codes()[X], -1)
 
 

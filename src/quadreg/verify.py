@@ -112,10 +112,12 @@ def omega_membership(B: QuadraticFactor, X, H1, H2, H3):
 
 
 def omega_identity(B: QuadraticFactor):
-    """omega_count(B, e) = the (int) cube sum of 1_{B(e)}, every label e."""
-    for e in B.all_labels():
-        cube_sum = gowers.u3_eighth_naive(B.atom_indicator(e), B.grp)
-        if not isinstance(cube_sum, int) or omega_count(B, e) != cube_sum:
+    """omega_count(B, e) = the (int) cube sum of 1_{B(e)}, every label e;
+    the cube sums of all the atoms come from one pass over G^3."""
+    cube_sums = gowers.level_set_cube_sums(B.label_codes(), B.grp,
+                                           B.p ** (B.l + B.q))
+    for e, cube_sum in zip(B.all_labels(), cube_sums):
+        if omega_count(B, e) != cube_sum:
             return f"omega mismatch {B} {e}"
 
 
@@ -123,24 +125,30 @@ def sigma_label_sum(B: QuadraticFactor):
     """x+y+z lies in the atom sigma_label(d) for every triple (x, y, z) in
     G^3, d its local label: the atom labels of x, y, z and the pair values
     beta_Q(x,y), beta_Q(x,z), beta_Q(y,z).  Triples are grouped by label,
-    so sigma_label runs once per label that occurs."""
-    g, lc, bq = B.grp, B.label_codes(), B.bq_tables()
-    x, y, z = np.indices((g.size,) * 3).reshape(3, -1)
-    rows = np.stack([lc[x], lc[y], lc[z], bq[x, y], bq[x, z], bq[y, z]], axis=1)
-    labels, which = np.unique(rows, axis=0, return_inverse=True)
+    so sigma_label runs once per label that occurs; a label is one
+    mixed-radix int, radix p^(l+q) for the atom codes and p^q for the pair
+    codes, so labels sort as their rows of six codes would."""
+    g, lc, bq = B.grp, B.label_codes(), B.bq_tables().ravel()
+    N, add = g.size, g.add.ravel()
+    x, y, z = np.indices((N,) * 3).reshape(3, -1)
+    radices = (B.p ** (B.l + B.q),) * 3 + (B.p ** B.q,) * 3
+    key = np.ravel_multi_index((lc[x], lc[y], lc[z], bq[x * N + y],
+                                bq[x * N + z], bq[y * N + z]), radices)
+    labels, which = np.unique(key, return_inverse=True)
     atoms = list(B.all_labels())  # every atom and pair code, decoded once
     pairs = list(map(B.code_to_pair, range(B.p ** B.q)))
 
     def local_label(row):
-        a, b, c, ab, ac, bc = row.tolist()
+        a, b, c, ab, ac, bc = row
         return LocalLabelTuple(atoms[a], atoms[b], atoms[c],
                                pairs[ab], pairs[ac], pairs[bc])
 
+    rows = np.stack(np.unravel_index(labels, radices), axis=1).tolist()
     want = np.array([B.label_to_code(sigma_label(B, local_label(row)))
-                     for row in labels])
-    bad = np.flatnonzero(want[which.reshape(-1)] != lc[g.add[g.add[x, y], z]])
+                     for row in rows])
+    bad = np.flatnonzero(want[which] != lc[add[add[x * N + y] * N + z]])
     if bad.size:
-        return f"triple sums outside atom {local_label(rows[bad[0]])}"
+        return f"triple sums outside atom {local_label(rows[which[bad[0]]])}"
 
 
 def psi_fibres(g):
@@ -171,24 +179,35 @@ def chain_bounds(rho, C, d: int, length: int):
     """f_sigma(s) = (a, b) has b = 2k - m and a <= the corollary's l-bound
     for every string s of length m <= `length` with k ones and disc >= 0;
     if every prefix of s has disc >= 0 (the string of a chain), also
-    0 <= a <= tau_{m-k}(k, k) <= that l-bound.  Bounds: once per (m, k)."""
-    bounds = {}  # (m, k) -> (l-bound, tau_{m-k}(k, k))
-    walk = {(): (0, True)}  # s -> (disc(s), every prefix has disc >= 0)
-    for s, (a, b) in f_table(rho, length).items():
-        if not s:
-            continue
-        excess, chain = walk[s[:-1]]
-        excess += s[-1]  # disc(s) = 2k - m
-        walk[s] = excess, chain and excess >= 0
-        if excess < 0:
-            continue
-        m, k = len(s), (len(s) + excess) // 2
-        if (m, k) not in bounds:
-            bounds[m, k] = (corollary_chain_bound(C, d, m, k)[0],
-                            tau(rho, m - k, k, k))
-        lbound, t = bounds[m, k]
-        if not (0 <= a <= t <= lbound if chain else a <= lbound) or b != excess:
-            return f"chain bound {s}"
+    0 <= a <= tau_{m-k}(k, k) <= that l-bound.  The strings are walked by
+    their position in f_table: entry i > 0 extends entry (i-1)//2, by -1
+    when i is odd and +1 when even, so disc(s) and the prefix flag come
+    one length at a time, and every entry is compared at once in object
+    arrays, which keep the exact ints and Fractions.  Bounds: once per
+    (m, k).  The first failing string in table order is reported."""
+    table = f_table(rho, length)
+    disc = np.zeros(len(table), dtype=np.int64)  # disc(s) = 2k - m
+    chain = np.ones(len(table), dtype=bool)  # every prefix has disc >= 0
+    m = np.zeros(len(table), dtype=np.int64)
+    for level in range(1, length + 1):
+        i = np.arange(2 ** level - 1, 2 ** (level + 1) - 1)
+        parent = (i - 1) // 2
+        disc[i] = disc[parent] + np.where(i % 2, -1, 1)
+        chain[i] = chain[parent] & (disc[i] >= 0)
+        m[i] = level
+    at = np.flatnonzero(disc >= 0)[1:]  # the empty string is not checked
+    bounds = np.empty((length + 1, length + 1, 2), dtype=object)
+    for mm in range(1, length + 1):  # (l-bound, tau_{m-k}(k, k)) at 2k >= m
+        for k in range((mm + 1) // 2, mm + 1):
+            bounds[mm, k] = (corollary_chain_bound(C, d, mm, k)[0],
+                             tau(rho, mm - k, k, k))
+    lbound, taus = bounds[m[at], (m[at] + disc[at]) // 2].T
+    a, b = np.array(list(table.values()), dtype=object).reshape(-1, 2)[at].T
+    ok = np.where(chain[at], (0 <= a) & (a <= taus) & (taus <= lbound),
+                  a <= lbound)
+    bad = np.flatnonzero(~(ok & (b == disc[at])))
+    if bad.size:
+        return f"chain bound {list(table)[at[bad[0]]]}"
 
 
 def vc2_baselines(g):

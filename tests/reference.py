@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from quadreg import gf, gowers, localnorms
+from quadreg.chains import corollary_chain_bound, tau
 from quadreg.localnorms import LocalLabelTuple, sigma_label
 
 
@@ -78,6 +79,29 @@ def bad_x_count(B, S):
 def describe(rho) -> str:
     """The `linear:K` / `poly:C,d` text that GrowthFunction.parse reads."""
     return f"linear:{rho.C}" if rho.d == 1 else f"poly:{rho.C},{rho.d}"
+
+
+def chain_bounds_walk(rho, C, d: int, table: dict):
+    """verify.chain_bounds over an f_table-shaped `table`, one string at a
+    time: disc(s) and the every-prefix-nonnegative flag are read off the
+    entry for s[:-1], the bounds computed once per (m, k)."""
+    bounds = {}  # (m, k) -> (l-bound, tau_{m-k}(k, k))
+    walk = {(): (0, True)}  # s -> (disc(s), every prefix has disc >= 0)
+    for s, (a, b) in table.items():
+        if not s:
+            continue
+        excess, chain = walk[s[:-1]]
+        excess += s[-1]  # disc(s) = 2k - m
+        walk[s] = excess, chain and excess >= 0
+        if excess < 0:
+            continue
+        m, k = len(s), (len(s) + excess) // 2
+        if (m, k) not in bounds:
+            bounds[m, k] = (corollary_chain_bound(C, d, m, k)[0],
+                            tau(rho, m - k, k, k))
+        lbound, t = bounds[m, k]
+        if not (0 <= a <= t <= lbound if chain else a <= lbound) or b != excess:
+            return f"chain bound {s}"
 
 
 def tau_closed_bound(C, k, i, x, y):

@@ -77,6 +77,16 @@ def test_f_table_matches_f_sigma():
     assert f_table(RHOS[0], -1) == {}
 
 
+def test_f_table_is_in_heap_order():
+    # verify.chain_bounds walks the table by position: entry i > 0 extends
+    # entry (i-1)//2, by -1 when i is odd and by +1 when it is even
+    for length in range(9):
+        strings = list(f_table(RHOS[0], length))
+        assert strings[0] == () and len(strings) == 2 ** (length + 1) - 1
+        assert all(s == strings[(i - 1) // 2] + ((-1,) if i % 2 else (1,))
+                   for i, s in enumerate(strings[1:], start=1))
+
+
 def test_non_integral_growth_stays_fractional():
     # rho(z) = 3/2 z^2: (1, 1) -> (1 + 3/2 * 4, 0) -> (7 + 3/2 * 49, -1)
     rho = GrowthFunction(Fraction(3, 2), 2)

@@ -131,8 +131,27 @@ def test_rewrite_sum_identity(seed, n):
     assert verify.rewrite_identity(f, g) is None
 
 
+@pytest.mark.parametrize("p,n", [(p, n) for p in (3, 5, 7) for n in range(1, 5)
+                                 if p ** (4 * n) <= gowers.NAIVE_CAP])
+def test_level_set_cube_sums_match_naive_per_level_set(p, n):
+    g = group(p, n)
+    rng = np.random.default_rng(10 * p + n)
+    count = p + 2
+    # codes in {0, 2, .., p-1}: level sets 1, p and p+1 are empty
+    codes = rng.integers(0, p, size=g.size)
+    codes[codes == 1] = 0
+    for labelling in (codes, np.zeros(g.size, dtype=np.int64)):
+        sums = gowers.level_set_cube_sums(labelling, g, count)
+        assert sums == [gowers.u3_eighth_naive(labelling == k, g)
+                        for k in range(count)]
+        assert all(type(s) is int for s in sums)
+    assert sums[0] == g.size ** 4 and sums[1:] == [0] * (count - 1)
+
+
 @pytest.mark.parametrize("fn,n", [(u2_fourth_naive, 5),
                                   (gowers.u3_eighth_naive, 4),
+                                  (lambda f, g: gowers.level_set_cube_sums(
+                                      f.astype(int), g, 2), 4),
                                   (gowers.rewrite_sum_g6, 3)])
 def test_naive_sums_refuse_large_groups(fn, n):
     g = group(3, n)

@@ -4,11 +4,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from quadreg import gf
+from quadreg import gf, verify
+from quadreg.chains import corollary_chain_bound, f_table
 from quadreg.factors import QuadraticFactor
 from quadreg.generators import random_factor
-from quadreg.verify import count_bad_w_tuples, count_bad_x
-from reference import bad_x_count, decode, mat_mul_vec
+from quadreg.verify import CHAIN_RHOS, count_bad_w_tuples, count_bad_x
+from reference import bad_x_count, chain_bounds_walk, decode, mat_mul_vec
 
 
 def direct_bad_w_tuples(B):
@@ -65,3 +66,30 @@ def test_count_bad_x_matches_rank_per_x(p, q):
     assert any(c not in (None, 0) for c in counts)
     # a base that holds the rows M_j w twice is dependent: nothing to count
     assert count_bad_x(B, [1, 1]) is None and bad_x_count(B, [1, 1]) is None
+
+
+@pytest.mark.parametrize("ri", range(4))
+def test_chain_bounds_matches_the_walk_on_corrupted_tables(ri, monkeypatch):
+    rho, C, d = CHAIN_RHOS[ri]
+    table = f_table(rho, 7)
+    strings = list(table)
+    rng = np.random.default_rng(ri)
+    details = []
+    for trial in range(60):
+        bad = dict(table)
+        # one corrupted entry, two in every third trial (the first reported)
+        for i in rng.choice(len(strings) - 1, 1 + (trial % 3 == 0)) + 1:
+            s = strings[i]
+            a, b = table[s]
+            lbound = corollary_chain_bound(C, d, len(s), s.count(1))[0]
+            bad[s] = [(a, b + 1), (a, b - 1), (-1, b), (a + 1, b),
+                      (lbound + 1, b)][rng.integers(5)]
+        monkeypatch.setattr(verify, "f_table", lambda rho, length: bad)
+        details.append(verify.chain_bounds(rho, C, d, 7))
+        assert details[-1] == chain_bounds_walk(rho, C, d, bad)
+    assert None in details and len(set(details)) > 10
+
+
+def test_chain_bounds_of_no_strings():
+    assert all(verify.chain_bounds(*rcd, length) is None
+               for rcd in CHAIN_RHOS for length in (0, -1))
